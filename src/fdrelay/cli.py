@@ -171,6 +171,8 @@ def parse_run_config(path: str | Path) -> RunConfig:
             values[key] = _CONFIG_TYPES[key](text_value)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
+        if isinstance(values[key], float) and not math.isfinite(values[key]):
+            raise ConfigError(f"{path}: {key} must be finite, got {text_value!r}")
 
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:

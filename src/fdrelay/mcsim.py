@@ -10,6 +10,11 @@ Randomness uses the counter-based Philox generator with one jumped
 substream per fixed-size block of trials, so the multiset of trials for a
 given seed is independent of how blocks are scheduled; runs are exactly
 reproducible.
+
+One batched kernel serves both ZF modes, single-trial designs included as
+batches of one.  It takes each block SUB_BATCH trials at a time, solves the
+Gram matrices (at most 3x3 in the paper's configurations) in closed form,
+and fails on any trial whose null |w_r^H H_rr w_t| exceeds ZF_NULL_TOL.
 """
 
 from __future__ import annotations
@@ -33,6 +38,22 @@ DEGENERATE_TOL = 1e-150
 
 #: Fraction of redrawn degenerate trials above which a run fails loudly.
 MAX_REDRAW_FRACTION = 1e-5
+
+#: Trials per pass of the gain kernel within one RNG block; bounds the
+#: kernel's temporaries without moving any block boundary.
+SUB_BATCH = 1 << 13
+
+#: Largest accepted ZF null |w_r^H H_rr w_t| of unit beamformers, per trial.
+ZF_NULL_TOL = 1e-10
+
+#: Relative top-eigenvalue gap (lam1 - lam2) / lam1 below which a 3x3
+#: eigenpair is left to LAPACK.  The closed form takes arccos(r) of
+#: r = det(B) / 2 with B = (m - q I) / p, where a first-order count of the
+#: roundings bounds the error in r by R_ERR = 32 eps.  As
+#: |d arccos r| = |dr| / sqrt(1 - r^2), the top eigenvalue of a positive
+#: semidefinite m is then off by at most 2 / (9 sqrt 3) * R_ERR / gap
+#: relative; keeping that below 1e-13 needs
+EIG3_GAP_MIN = 2.0 / (9.0 * math.sqrt(3.0)) * 32.0 * np.finfo(float).eps / 1e-13
 
 #: Two-sided 95% normal quantile for the default Wilson interval.
 Z_95 = 1.959963984540054
@@ -86,7 +107,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def _randn_c(rng: np.random.Generator, shape) -> np.ndarray:
     """Circularly-symmetric complex Gaussian entries with unit variance."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= math.sqrt(2.0)
+    return out
 
 
 def _sample_arrays(rng: np.random.Generator, config: AntennaConfig, n: int):
@@ -117,16 +142,13 @@ def left_null_projector(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     return np.eye(v.size, dtype=complex) - np.outer(v, v.conj()) / nrm2
 
 
-def _dominant_eigvec(m: np.ndarray) -> tuple[float, np.ndarray]:
-    vals, vecs = np.linalg.eigh(m)
-    return float(vals[-1]), vecs[:, -1]
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(v))
-    if nrm < DEGENERATE_TOL:
-        raise DegenerateChannelError("cannot normalize a (near-)zero vector")
-    return v / nrm
+def _design_zf(sample: ChannelSample, mode: ZFMode) -> BeamformerSet:
+    """One trial's beamformers: the batched kernel on a batch of one."""
+    *_, bad, beams = _zf_trials(
+        *(_soa(h[None]) for h in (sample.h_sr, sample.h_rr, sample.h_rd)), mode)
+    if bad[0]:
+        raise DegenerateChannelError("projector direction has (near-)zero norm")
+    return BeamformerSet(**{name: v[:, 0] for name, v in vars(beams).items()})
 
 
 def design_receive_zf(sample: ChannelSample) -> BeamformerSet:
@@ -136,24 +158,12 @@ def design_receive_zf(sample: ChannelSample) -> BeamformerSet:
     receive vector is the strongest S->R direction projected off the
     loopback image of that transmission, so the loopback term vanishes.
     """
-    _, t_d = _dominant_eigvec(sample.h_rd.conj().T @ sample.h_rd)
-    h_rd_eff = sample.h_rd @ t_d
-    w_t = _unit(h_rd_eff)
-    proj = left_null_projector(sample.h_rr @ h_rd_eff)
-    _, t_s = _dominant_eigvec(sample.h_sr.conj().T @ proj @ sample.h_sr)
-    w_r = _unit(proj @ (sample.h_sr @ t_s))
-    return BeamformerSet(t_s=t_s, t_d=t_d, w_r=w_r, w_t=w_t)
+    return _design_zf(sample, ZFMode.RECEIVE)
 
 
 def design_transmit_zf(sample: ChannelSample) -> BeamformerSet:
     """Beamformers with the null on the relay's transmit side (mirror case)."""
-    _, t_s = _dominant_eigvec(sample.h_sr.conj().T @ sample.h_sr)
-    h_sr_eff = sample.h_sr @ t_s
-    w_r = _unit(h_sr_eff)
-    proj = left_null_projector(sample.h_rr.conj().T @ h_sr_eff)
-    _, t_d = _dominant_eigvec(sample.h_rd.conj().T @ proj @ sample.h_rd)
-    w_t = _unit(proj @ (sample.h_rd @ t_d))
-    return BeamformerSet(t_s=t_s, t_d=t_d, w_r=w_r, w_t=w_t)
+    return _design_zf(sample, ZFMode.TRANSMIT)
 
 
 def zf_residual(sample: ChannelSample, beams: BeamformerSet) -> float:
@@ -227,49 +237,167 @@ def power_identity_check(
     return max(abs(cov_r - compact_r), abs(cov_d - compact_d))
 
 
-# -- batched eigenvalue sampling ---------------------------------------------
+# -- batched gain kernel ------------------------------------------------------
+# Trials sit on the last axis, (rows, cols, n), so that every entry of the
+# per-trial matrices is one contiguous length-n vector.
 
 
-def _gram(h: np.ndarray) -> np.ndarray:
-    """Batched h^H h for h of shape (n, rows, cols)."""
-    return np.einsum("nij,nik->njk", h.conj(), h)
+def _soa(h: np.ndarray) -> np.ndarray:
+    """(n, rows, cols) -> contiguous (rows, cols, n)."""
+    return np.ascontiguousarray(np.moveaxis(h, 0, -1))
 
 
-def _max_eig(m: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(m)[..., -1]
-    return np.maximum(lam, 0.0)
+def _col_gram(h: np.ndarray) -> np.ndarray:
+    """Gram h^H h of (rows, cols, n) channels, from products of column pairs."""
+    cols = h.shape[1]
+    g = np.empty((cols, cols, h.shape[2]), dtype=complex)
+    hc = h.conj()
+    for j in range(cols):
+        for k in range(j, cols):
+            g[j, k] = (hc[:, j] * h[:, k]).sum(axis=0)
+            g[k, j] = g[j, k].conj()
+    return g
+
+
+def _unit_cols(v: np.ndarray) -> np.ndarray:
+    """Normalise each trial's vector; a zero vector becomes e_1 (in ``v`` too)."""
+    nrm = np.linalg.norm(v, axis=0)
+    zero = nrm == 0.0
+    v[0, zero] = 1.0
+    return v / np.where(zero, 1.0, nrm)
+
+
+def _top_eig(m: np.ndarray, want_vec: bool = False):
+    """Largest eigenvalue and, if ``want_vec``, a unit eigenvector of a batch
+    of Hermitian positive semidefinite matrices given as (k, k, n).
+
+    Returns ``(lam, vec)``: ``lam`` of shape (n,), clipped at 0, and ``vec``
+    of shape (k, n) or None.  k = 1 and 2 are closed forms; k = 3 solves the
+    characteristic cubic trigonometrically, takes the eigenvector as a cross
+    product of two rows of m - lam I, and leaves trials with a top-eigenvalue
+    gap below EIG3_GAP_MIN to LAPACK; k >= 4 is LAPACK throughout.
+    """
+    k, n = m.shape[0], m.shape[2]
+    vec = None
+    if k == 1:
+        lam = m[0, 0].real
+        if want_vec:
+            vec = np.ones((1, n), dtype=complex)
+    elif k == 2:
+        a, d, b = m[0, 0].real, m[1, 1].real, m[0, 1]
+        half = 0.5 * (a - d)
+        h = np.hypot(half, np.abs(b))
+        lam = 0.5 * (a + d) + h
+        if want_vec:
+            # (b, lam - a) and (lam - d, b*) both solve (m - lam) v = 0; the
+            # one whose second term adds h to |half| has no cancellation.
+            vec = _unit_cols(np.where(half <= 0.0, [b, h - half], [h + half, b.conj()]))
+    elif k == 3:
+        lam, vec = _top_eig3(m, want_vec)
+    else:
+        vals, vecs = np.linalg.eigh(np.moveaxis(m, -1, 0))
+        lam = vals[:, -1]
+        if want_vec:
+            vec = vecs[:, :, -1].T
+    return np.maximum(lam, 0.0), vec
+
+
+def _top_eig3(m: np.ndarray, want_vec: bool):
+    diag = m[[0, 1, 2], [0, 1, 2]].real
+    q = diag.mean(axis=0)
+    b0, b1, b2 = diag - q
+    o01, o02, o12 = m[0, 1], m[0, 2], m[1, 2]
+    s01, s02, s12 = (o.real ** 2 + o.imag ** 2 for o in (o01, o02, o12))
+    p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (s01 + s02 + s12)) / 6.0)
+    det = (b0 * b1 * b2 + 2.0 * (o01 * o12 * o02.conj()).real
+           - b0 * s12 - b1 * s02 - b2 * s01)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.arccos(np.clip(det / (2.0 * p ** 3), -1.0, 1.0)) / 3.0
+        lam = q + 2.0 * p * np.cos(phi)
+        gap = 2.0 * math.sqrt(3.0) * p * np.sin(math.pi / 3.0 - phi) / lam
+    slow = ~(gap >= EIG3_GAP_MIN)  # also catches the NaNs of p = 0
+    vec = None
+    if want_vec:
+        # m - lam I has rank 2, so its adjugate, whose columns are cross
+        # products of row pairs, is a multiple of v v^H: take the column
+        # with the largest diagonal entry.
+        c0, c1, c2 = diag - lam
+        a01 = o02 * o12.conj() - c2 * o01
+        a02 = o01 * o12 - c1 * o02
+        a12 = o02 * o01.conj() - c0 * o12
+        a00, a11, a22 = c1 * c2 - s12, c0 * c2 - s02, c0 * c1 - s01
+        adj = np.array([[a00, a01, a02], [a01.conj(), a11, a12], [a02.conj(), a12.conj(), a22]])
+        best = np.argmax([a00, a11, a22], axis=0)
+        vec = np.take_along_axis(adj, best[None, None], axis=1)[:, 0]
+        vec[:, slow] = 0.0  # filled in by LAPACK below
+        vec = _unit_cols(vec)
+    idx = np.flatnonzero(slow)
+    if idx.size:
+        vals, vecs = np.linalg.eigh(np.moveaxis(m[:, :, idx], -1, 0))
+        lam[idx] = vals[:, -1]
+        if want_vec:
+            vec[:, idx] = vecs[:, :, -1].T
+    return lam, vec
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x per trial, for a of shape (rows, cols, n) and x of shape (cols, n)."""
+    return (a * x).sum(axis=1)
+
+
+def _project_off(h: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """(I - u u^H) h per trial: the channel with direction ``unit`` removed."""
+    return h - unit[:, None] * (unit.conj()[:, None] * h).sum(axis=0)
+
+
+def _zf_trials(h_sr, h_rr, h_rd, mode: ZFMode):
+    """ZF beamformers and unit-scale gains of a trial batch, as (rows, cols, n).
+
+    The relay serves the hop without the null (``far``) with its dominant
+    eigen-beam, and projects the beamformer of the other hop (``near``) off
+    that beam's loopback image: (near, far, loop) is (h_sr, h_rd, h_rr) for
+    receive ZF and (h_rd, h_sr, h_rr^H) for transmit ZF.
+
+    Returns (lam_sr, lam_rd, bad, beams): ``bad`` flags trials whose
+    loopback image underflowed, and ``beams`` holds unit vectors as
+    (length, n).  Raises DegenerateChannelError when another trial's null
+    |w_r^H H_rr w_t| exceeds ZF_NULL_TOL.
+    """
+    receive = mode is ZFMode.RECEIVE
+    if receive:
+        near, far, loop = h_sr, h_rd, h_rr
+    else:
+        near, far, loop = h_rd, h_sr, h_rr.conj().transpose(1, 0, 2)
+    lam_far, t_far = _top_eig(_col_gram(far), want_vec=True)
+    w_far = _unit_cols(_matvec(far, t_far))
+    image = _matvec(loop, w_far)
+    nrm = np.linalg.norm(image, axis=0)
+    bad = nrm < DEGENERATE_TOL
+    projected = _project_off(near, image / np.where(bad, 1.0, nrm))
+    lam_near, t_near = _top_eig(_col_gram(projected), want_vec=True)
+    w_near = _unit_cols(_matvec(projected, t_near))
+    null = np.abs((w_near.conj() * image).sum(axis=0))
+    worst = float(np.max(np.where(bad, 0.0, null)))
+    if not worst <= ZF_NULL_TOL:
+        raise DegenerateChannelError(f"ZF null residual {worst:.3g} exceeds {ZF_NULL_TOL:g}")
+    if receive:
+        return lam_near, lam_far, bad, BeamformerSet(t_s=t_near, t_d=t_far, w_r=w_near, w_t=w_far)
+    return lam_far, lam_near, bad, BeamformerSet(t_s=t_far, t_d=t_near, w_r=w_far, w_t=w_near)
 
 
 def _gains_from_channels(h_sr, h_rr, h_rd, mode: ZFMode):
     """Unit-scale per-hop gains (largest eigenvalues) for a trial batch.
 
-    Returns (lam_sr, lam_rd, bad) where ``bad`` flags trials whose projector
-    direction underflowed and whose gains are therefore invalid.
+    Channels are (n, rows, cols) as sampled, taken SUB_BATCH trials at a
+    time.  Returns (lam_sr, lam_rd, bad) where ``bad`` flags trials whose
+    projector direction underflowed and whose gains are therefore invalid.
     """
-    if mode is ZFMode.RECEIVE:
-        vals, vecs = np.linalg.eigh(_gram(h_rd))
-        lam_rd = np.maximum(vals[:, -1], 0.0)
-        t_d = vecs[:, :, -1]
-        h_eff = np.einsum("nij,nj->ni", h_rd, t_d)
-        w = np.einsum("nij,nj->ni", h_rr, h_eff)
-        nrm = np.linalg.norm(w, axis=1)
-        bad = nrm < DEGENERATE_TOL
-        what = w / np.where(bad, 1.0, nrm)[:, None]
-        u = np.einsum("nij,ni->nj", h_sr.conj(), what)
-        m = _gram(h_sr) - u[:, :, None] * u.conj()[:, None, :]
-        lam_sr = _max_eig(m)
-    else:
-        vals, vecs = np.linalg.eigh(_gram(h_sr))
-        lam_sr = np.maximum(vals[:, -1], 0.0)
-        t_s = vecs[:, :, -1]
-        h_eff = np.einsum("nij,nj->ni", h_sr, t_s)
-        v = np.einsum("nij,ni->nj", h_rr.conj(), h_eff)
-        nrm = np.linalg.norm(v, axis=1)
-        bad = nrm < DEGENERATE_TOL
-        vhat = v / np.where(bad, 1.0, nrm)[:, None]
-        u = np.einsum("nij,ni->nj", h_rd.conj(), vhat)
-        m = _gram(h_rd) - u[:, :, None] * u.conj()[:, None, :]
-        lam_rd = _max_eig(m)
+    n = h_sr.shape[0]
+    lam_sr, lam_rd, bad = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    for start in range(0, n, SUB_BATCH):
+        part = slice(start, start + SUB_BATCH)
+        lam_sr[part], lam_rd[part], bad[part], _ = _zf_trials(
+            _soa(h_sr[part]), _soa(h_rr[part]), _soa(h_rd[part]), mode)
     return lam_sr, lam_rd, bad
 
 
@@ -356,7 +484,7 @@ def sample_wishart_max_eig(
 ) -> np.ndarray:
     """Largest eigenvalues of ``trials`` direct a x b complex Wishart draws."""
     h = _randn_c(rng, (trials, dims.b, dims.a))
-    return _max_eig(_gram(h))
+    return _top_eig(_col_gram(_soa(h)))[0]
 
 
 def projected_max_eig_samples(
@@ -372,9 +500,7 @@ def projected_max_eig_samples(
     h = _randn_c(rng, (trials, rows, cols))
     mix = _randn_c(rng, (trials, rows, aux))
     x = _randn_c(rng, (trials, aux))
-    w = np.einsum("nij,nj->ni", mix, x)
-    nrm = np.linalg.norm(w, axis=1)
-    what = w / np.where(nrm < DEGENERATE_TOL, 1.0, nrm)[:, None]
-    u = np.einsum("nij,ni->nj", h.conj(), what)
-    m = _gram(h) - u[:, :, None] * u.conj()[:, None, :]
-    return _max_eig(m)
+    w = _matvec(_soa(mix), x.T)
+    nrm = np.linalg.norm(w, axis=0)
+    projected = _project_off(_soa(h), w / np.where(nrm < DEGENERATE_TOL, 1.0, nrm))
+    return _top_eig(_col_gram(projected))[0]

@@ -177,6 +177,17 @@ def test_sweep_missing_config_file():
     assert main(["sweep", "--config", "/nonexistent/run.cfg"]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("gamma_t_db", "nan"), ("grid_stop_db", "inf"),
+                                        ("alpha_sr", "-inf")])
+def test_sweep_rejects_non_finite_values(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_sweep_rejects_unknown_fault(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--inject-fault", "bogus"]) == 2

@@ -6,11 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from fdrelay import mcsim
 from fdrelay.mcsim import (
+    BLOCK_SIZE,
+    SUB_BATCH,
     BeamformerSet,
     ChannelSample,
     DegenerateChannelError,
+    _col_gram,
     _gains_from_channels,
+    _top_eig,
     design_receive_zf,
     design_transmit_zf,
     estimate_outage,
@@ -250,6 +255,62 @@ def test_estimate_outage_matches_closed_form():
     assert abs(est.p_hat - analytic) <= 4.0 * se
 
 
+def _reference_gains(config, trials, seed):
+    """link_gain_samples rebuilt with einsum and LAPACK, block by block."""
+    def randn_c(rng, shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+
+    def gram(h):
+        return np.einsum("nij,nik->njk", h.conj(), h)
+
+    parts = []
+    for block, start in enumerate(range(0, trials, BLOCK_SIZE)):
+        n = min(BLOCK_SIZE, trials - start)
+        rng = make_rng(seed, block)
+        h_sr = randn_c(rng, (n, config.n_r1, config.n_s))
+        h_rr = randn_c(rng, (n, config.n_r1, config.n_r2))
+        h_rd = randn_c(rng, (n, config.n_r2, config.n_d))
+        if config.mode is ZFMode.RECEIVE:
+            near, far, loop = h_sr, h_rd, h_rr
+        else:
+            near, far, loop = h_rd, h_sr, h_rr.conj().transpose(0, 2, 1)
+        vals, vecs = np.linalg.eigh(gram(far))
+        image = np.einsum("nij,njk,nk->ni", loop, far, vecs[:, :, -1])
+        image /= np.linalg.norm(image, axis=1)[:, None]
+        proj = np.eye(near.shape[1]) - np.einsum("ni,nj->nij", image, image.conj())
+        lam_near = np.linalg.eigvalsh(gram(np.einsum("nij,njk->nik", proj, near)))[:, -1]
+        lam_far = vals[:, -1]
+        parts.append((lam_near, lam_far) if config.mode is ZFMode.RECEIVE else (lam_far, lam_near))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+@pytest.mark.parametrize("antennas, mode", [
+    ((2, 3, 2, 2), ZFMode.RECEIVE), ((2, 2, 3, 2), ZFMode.TRANSMIT),
+    ((3, 4, 3, 3), ZFMode.RECEIVE), ((3, 2, 2, 2), ZFMode.TRANSMIT),
+])
+def test_gain_samples_match_lapack_reference(antennas, mode):
+    cfg = AntennaConfig(*antennas, mode)
+    trials = 3 * BLOCK_SIZE + 5
+    assert trials % SUB_BATCH
+    lam_sr, lam_rd = link_gain_samples(cfg, trials, seed=31)
+    ref_sr, ref_rd = _reference_gains(cfg, trials, seed=31)
+    assert lam_sr.shape == lam_rd.shape == (trials,)
+    assert np.max(np.abs(lam_sr - ref_sr) / ref_sr) <= 1e-12
+    assert np.max(np.abs(lam_rd - ref_rd) / ref_rd) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", [ZFMode.RECEIVE, ZFMode.TRANSMIT])
+def test_gain_kernel_checks_zf_null(monkeypatch, mode):
+    # A projection that only halves the loopback direction leaves a residual
+    # null in every trial; the kernel must refuse it.
+    def leaky(h, unit):
+        return h - 0.5 * unit[:, None] * (unit.conj()[:, None] * h).sum(axis=0)
+
+    monkeypatch.setattr(mcsim, "_project_off", leaky)
+    with pytest.raises(DegenerateChannelError, match="ZF null"):
+        link_gain_samples(AntennaConfig(2, 3, 3, 2, mode), 100, seed=3)
+
+
 def test_gain_samples_reject_bad_trials_argument():
     with pytest.raises(ValueError):
         link_gain_samples(RX_CFG, 0, seed=1)
@@ -301,3 +362,78 @@ def test_projected_sampler_matches_reduced_wishart_roughly():
     proj = projected_max_eig_samples(make_rng(14), rows=3, cols=2, trials=n)
     direct = sample_wishart_max_eig(make_rng(15), WishartDims.of_matrix(2, 2), n)
     assert stats.ks_2samp(proj, direct).statistic < 0.025
+
+
+# -- closed-form eigensolves ----------------------------------------------------------------
+
+
+def _as_batch(mats):
+    """(n, k, k) matrices -> the (k, k, n) layout of the gain kernel."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(mats, dtype=complex), 0, -1))
+
+
+def _rotated(rng, eigenvalues):
+    """U diag(eigenvalues) U^H for a random unitary U per row of eigenvalues."""
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
+    n, k = eigenvalues.shape
+    u, _ = np.linalg.qr(rng.standard_normal((n, k, k)) + 1j * rng.standard_normal((n, k, k)))
+    return np.einsum("nij,nj,nkj->nik", u, eigenvalues, u.conj())
+
+
+def _hermitian_cases(k):
+    rng = np.random.default_rng(40 + k)
+    g = rng.standard_normal((500, k + 1, k)) + 1j * rng.standard_normal((500, k + 1, k))
+    rank1 = rng.standard_normal((50, 1, k)) + 1j * rng.standard_normal((50, 1, k))
+    cases = {
+        "random": np.einsum("nij,nik->njk", g.conj(), g),
+        "diagonal": np.stack([np.diag(d) for d in rng.uniform(0.0, 5.0, (50, k))]),
+        "scalar": np.stack([c * np.eye(k) for c in (0.0, 1.0, 3.5, 1e-300, 1e150)]),
+        "rank1": np.einsum("nij,nik->njk", rank1.conj(), rank1),
+        "zero": np.zeros((3, k, k)),
+    }
+    if k > 1:
+        top = np.array([[2.0] * 2 + [1.0] * (k - 2)] * 20)
+        cases["repeated_top"] = _rotated(rng, top)
+        near = np.array([[1.0 + d, 1.0] + [0.25] * (k - 2) for d in 10.0 ** -np.arange(1, 16)])
+        cases["nearly_repeated_top"] = _rotated(rng, near)
+    return cases
+
+
+def test_col_gram_matches_einsum():
+    rng = np.random.default_rng(39)
+    for rows, cols in ((3, 1), (2, 3), (4, 3), (5, 4)):
+        h = rng.standard_normal((40, rows, cols)) + 1j * rng.standard_normal((40, rows, cols))
+        np.testing.assert_allclose(_col_gram(_as_batch(h)),
+                                   _as_batch(np.einsum("nij,nik->njk", h.conj(), h)),
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_top_eig_matches_lapack(k):
+    for name, mats in _hermitian_cases(k).items():
+        ref = np.linalg.eigvalsh(mats)[:, -1]
+        lam, vec = _top_eig(_as_batch(mats), want_vec=True)
+        lam_only, none = _top_eig(_as_batch(mats))
+        assert none is None
+        np.testing.assert_array_equal(lam, lam_only)
+        assert np.all(np.abs(lam - ref) <= 1e-12 * np.abs(ref)), name
+        v = vec.T
+        assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=1e-14), name
+        resid = np.linalg.norm(np.einsum("nij,nj->ni", mats, v) - lam[:, None] * v, axis=1)
+        assert np.all(resid <= 1e-12 * np.maximum(lam, 1.0)), name
+
+
+def test_top_eig3_hands_only_close_top_pairs_to_lapack(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cases = _hermitian_cases(3)
+    _top_eig(_as_batch(cases["random"]), want_vec=True)
+    assert calls == []
+    _top_eig(_as_batch(np.concatenate([cases["random"], cases["repeated_top"]])), want_vec=True)
+    assert calls == [len(cases["repeated_top"])]
