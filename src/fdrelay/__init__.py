@@ -1,22 +1,13 @@
 """Outage analysis for full-duplex MIMO decode-and-forward relaying with
 zero-forcing beamforming: exact closed forms plus a Monte Carlo validator."""
 
-from .exppoly import ExpPoly, determinant, leading_coefficient
+from .exppoly import ExpPoly, determinant
 from .mcsim import (
     BeamformerSet,
-    ChannelSample,
     DegenerateChannelError,
-    OutageEstimate,
-    TrialResult,
-    design_receive_zf,
-    design_transmit_zf,
-    estimate_outage,
-    instantaneous_snrs,
-    left_null_projector,
     link_gain_samples,
     make_rng,
-    power_identity_check,
-    sample_channels,
+    outage_from_gains,
     wilson_interval,
 )
 from .outage import (

@@ -47,7 +47,6 @@ from .wishart import (
 CACHE_DIR_ENV = "FDRELAY_CACHE_DIR"
 CSV_HEADER = "gammabar_db,analytic,mc,ci_low,ci_high"
 SLOPE_TOLERANCE = 0.3
-KNOWN_FAULTS = ("wrong-dims",)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -65,7 +64,6 @@ class CurveRow:
     mc: Optional[float]
     ci_low: Optional[float]
     ci_high: Optional[float]
-    slope_estimate: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -115,6 +113,18 @@ class RunConfig:
 
 def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
+
+
+def _check_trials(trials: int, where: str) -> int:
+    if trials < 0:
+        raise ConfigError(f"{where}: trials must be >= 0, got {trials}")
+    return trials
+
+
+def _check_seed(seed: int, where: str) -> int:
+    if not 0 <= seed < 2 ** 128:  # Philox keys are 128-bit
+        raise ConfigError(f"{where}: seed must be in [0, 2**128), got {seed}")
+    return seed
 
 
 _CONFIG_TYPES = {
@@ -173,6 +183,9 @@ def parse_run_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
         if isinstance(values[key], float) and not math.isfinite(values[key]):
             raise ConfigError(f"{path}: {key} must be finite, got {text_value!r}")
+    for key in ("alpha_sr", "alpha_rd"):
+        if key in values and values[key] <= 0.0:
+            raise ConfigError(f"{path}: {key} must be > 0, got {values[key]!r}")
 
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
@@ -217,9 +230,6 @@ def parse_run_config(path: str | Path) -> RunConfig:
     if asymmetry != "symmetric":
         if ratio is None or ratio <= 1.0:
             raise ConfigError(f"{path}: asymmetric budgets need asymmetry_ratio > 1")
-    trials = int(values.get("trials", 0))
-    if trials < 0:
-        raise ConfigError(f"{path}: trials must be >= 0")
 
     return RunConfig(
         antenna=antenna,
@@ -229,8 +239,8 @@ def parse_run_config(path: str | Path) -> RunConfig:
         p_r=_db_to_linear(values.get("p_r_db", 0.0)),
         alpha_sr=float(values.get("alpha_sr", 1.0)),
         alpha_rd=float(values.get("alpha_rd", 1.0)),
-        trials=trials,
-        seed=int(values.get("seed", 0)),
+        trials=_check_trials(values.get("trials", 0), str(path)),
+        seed=_check_seed(values.get("seed", 0), str(path)),
         out_csv=values.get("out_csv"),
         asymmetry=asymmetry,
         asymmetry_ratio=ratio,
@@ -296,23 +306,14 @@ def build_curve(run: RunConfig, cache_dir: Optional[Path] = None,
         gains = mcsim.link_gain_samples(run.antenna, run.trials, run.seed)
 
     rows = []
-    prev: Optional[Tuple[float, float]] = None
     for g_db in run.grid_db:
         budget = run.budget_at(g_db)
         analytic = end_to_end_outage(run.antenna, budget, run.query,
                                      tables=(table_sr, table_rd))
         mc = ci_low = ci_high = None
         if gains is not None:
-            snr_min = np.minimum(budget.scale_sr * gains[0], budget.scale_rd * gains[1])
-            failures = int(np.count_nonzero(snr_min < gamma_t))
-            mc = failures / run.trials
-            ci_low, ci_high = mcsim.wilson_interval(failures, run.trials)
-        slope = None
-        if prev is not None and analytic > 0.0 and prev[1] > 0.0:
-            d_log_gbar = (g_db - prev[0]) / 10.0
-            slope = (math.log10(analytic) - math.log10(prev[1])) / d_log_gbar
-        rows.append(CurveRow(g_db, analytic, mc, ci_low, ci_high, slope))
-        prev = (g_db, analytic)
+            mc, ci_low, ci_high = mcsim.outage_from_gains(gains, budget, gamma_t)
+        rows.append(CurveRow(g_db, analytic, mc, ci_low, ci_high))
     return OutageCurve(rows=tuple(rows))
 
 
@@ -369,25 +370,17 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 def _load_run(args: argparse.Namespace) -> RunConfig:
     run = parse_run_config(args.config)
     if getattr(args, "seed", None) is not None:
-        run = dataclasses.replace(run, seed=args.seed)
+        run = dataclasses.replace(run, seed=_check_seed(args.seed, "--seed"))
     if getattr(args, "trials", None) is not None:
-        run = dataclasses.replace(run, trials=args.trials)
+        run = dataclasses.replace(run, trials=_check_trials(args.trials, "--trials"))
     return run
-
-
-def _check_fault(args: argparse.Namespace) -> Optional[str]:
-    fault = getattr(args, "inject_fault", None)
-    if fault is not None and fault not in KNOWN_FAULTS:
-        raise ConfigError(f"unknown fault {fault!r}; known: {', '.join(KNOWN_FAULTS)}")
-    return fault
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     run = _load_run(args)
-    fault = _check_fault(args)
     if run.out_csv is None:
         raise ConfigError("sweep needs out_csv in the config file")
-    curve = build_curve(run, resolve_cache_dir(args.cache_dir), fault=fault)
+    curve = build_curve(run, resolve_cache_dir(args.cache_dir))
     write_csv(curve, run.out_csv)
     print(f"wrote {len(curve.rows)} points to {run.out_csv}")
     return EXIT_OK
@@ -402,13 +395,12 @@ def _z_score(analytic: float, mc: float, trials: int) -> float:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     run = _load_run(args)
-    fault = _check_fault(args)
     if run.trials < 1:
         raise ConfigError("compare needs trials > 0 (config key or --trials)")
     if run.trials < 10_000:
         print(f"warning: underpowered comparison ({run.trials} trials < 10000)",
               file=sys.stderr)
-    curve = build_curve(run, resolve_cache_dir(args.cache_dir), fault=fault)
+    curve = build_curve(run, resolve_cache_dir(args.cache_dir))
     worst = 0.0
     print("gammabar_db  analytic      mc            z")
     for r in curve.rows:
@@ -476,8 +468,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         if name != "diversity":
             p.add_argument("--trials", type=int, default=None)
-            p.add_argument("--inject-fault", default=None, metavar="NAME",
-                           help="test-only: corrupt part of the pipeline")
     return parser
 
 

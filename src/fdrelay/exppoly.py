@@ -218,16 +218,6 @@ class ExpPoly:
         return obj
 
 
-def leading_coefficient(p: ExpPoly, k: int, l: int) -> Fraction:
-    """Coefficient of x**l * exp(-k*x) in p (zero if absent).
-
-    Under the canonical iteration order this is exactly the value the
-    slowest-decaying-term limit would select while peeling terms off a
-    residual, so no symbolic limit is ever needed.
-    """
-    return p.coeff(k, l)
-
-
 def divexact(p: ExpPoly, q: ExpPoly) -> ExpPoly:
     """Exact division p / q in the exponential-polynomial ring.
 

@@ -2,19 +2,20 @@
 
 Samples i.i.d. Rayleigh MIMO channels, builds the zero-forcing beamformers
 (the relay's receive or transmit vector is projected off the loopback
-direction so the self-interference term is exactly nulled), computes the
-per-hop instantaneous SNRs, and estimates outage with Wilson confidence
-intervals.
+direction so the self-interference term is exactly nulled), and returns the
+per-hop gains; ``outage_from_gains`` turns them into an outage estimate with
+a Wilson confidence interval.
 
 Randomness uses the counter-based Philox generator with one jumped
 substream per fixed-size block of trials, so the multiset of trials for a
 given seed is independent of how blocks are scheduled; runs are exactly
 reproducible.
 
-One batched kernel serves both ZF modes, single-trial designs included as
-batches of one.  It takes each block SUB_BATCH trials at a time, solves the
-Gram matrices (at most 3x3 in the paper's configurations) in closed form,
-and fails on any trial whose null |w_r^H H_rr w_t| exceeds ZF_NULL_TOL.
+One batched kernel, ``_zf_trials``, is the only simulator: it serves both ZF
+modes, and a single trial is a batch of one.  It takes each block SUB_BATCH
+trials at a time, solves the Gram matrices (at most 3x3 in the paper's
+configurations) in closed form, and fails on any trial whose null
+|w_r^H H_rr w_t| exceeds ZF_NULL_TOL.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .outage import AntennaConfig, LinkBudget, OutageQuery, ZFMode
+from .outage import AntennaConfig, LinkBudget, ZFMode
 from .wishart import WishartDims
 
 log = logging.getLogger(__name__)
@@ -64,37 +65,14 @@ class DegenerateChannelError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChannelSample:
-    """One block-fading realization: entries are CN(0, 1)."""
-
-    h_sr: np.ndarray  # (n_r1, n_s) source -> relay-rx
-    h_rr: np.ndarray  # (n_r1, n_r2) relay loopback
-    h_rd: np.ndarray  # (n_r2, n_d) relay-tx -> destination
-
-
-@dataclass(frozen=True)
 class BeamformerSet:
-    """Unit-norm precoding/combining vectors satisfying the ZF null."""
+    """Unit-norm precoding/combining vectors satisfying the ZF null, one
+    column per trial."""
 
-    t_s: np.ndarray  # (n_s,) source precoder
-    t_d: np.ndarray  # (n_d,) destination combiner
-    w_r: np.ndarray  # (n_r1,) relay receive vector
-    w_t: np.ndarray  # (n_r2,) relay transmit vector
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    snr_sr: float
-    snr_rd: float
-    zf_residual: float
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    p_hat: float
-    ci_low: float
-    ci_high: float
-    trials: int
+    t_s: np.ndarray  # (n_s, n) source precoder
+    t_d: np.ndarray  # (n_d, n) destination combiner
+    w_r: np.ndarray  # (n_r1, n) relay receive vector
+    w_t: np.ndarray  # (n_r2, n) relay transmit vector
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -120,121 +98,6 @@ def _sample_arrays(rng: np.random.Generator, config: AntennaConfig, n: int):
     h_rr = _randn_c(rng, (n, config.n_r1, config.n_r2))
     h_rd = _randn_c(rng, (n, config.n_r2, config.n_d))
     return h_sr, h_rr, h_rd
-
-
-def sample_channels(rng: np.random.Generator, config: AntennaConfig) -> ChannelSample:
-    """Draw one channel realization."""
-    h_sr, h_rr, h_rd = _sample_arrays(rng, config, 1)
-    return ChannelSample(h_sr=h_sr[0], h_rr=h_rr[0], h_rd=h_rd[0])
-
-
-def left_null_projector(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Orthogonal projector onto the complement of span{v}: I - v v^H / |v|^2.
-
-    Hermitian, idempotent, annihilates v, rank dim - 1.
-    """
-    v = np.asarray(v).reshape(-1)
-    if dim is not None and v.size != dim:
-        raise ValueError(f"vector has length {v.size}, expected {dim}")
-    nrm2 = float(np.vdot(v, v).real)
-    if nrm2 < DEGENERATE_TOL:
-        raise DegenerateChannelError("projector direction has (near-)zero norm")
-    return np.eye(v.size, dtype=complex) - np.outer(v, v.conj()) / nrm2
-
-
-def _design_zf(sample: ChannelSample, mode: ZFMode) -> BeamformerSet:
-    """One trial's beamformers: the batched kernel on a batch of one."""
-    *_, bad, beams = _zf_trials(
-        *(_soa(h[None]) for h in (sample.h_sr, sample.h_rr, sample.h_rd)), mode)
-    if bad[0]:
-        raise DegenerateChannelError("projector direction has (near-)zero norm")
-    return BeamformerSet(**{name: v[:, 0] for name, v in vars(beams).items()})
-
-
-def design_receive_zf(sample: ChannelSample) -> BeamformerSet:
-    """Beamformers with the null on the relay's receive side.
-
-    The relay transmit vector matches the strongest R->D direction; the
-    receive vector is the strongest S->R direction projected off the
-    loopback image of that transmission, so the loopback term vanishes.
-    """
-    return _design_zf(sample, ZFMode.RECEIVE)
-
-
-def design_transmit_zf(sample: ChannelSample) -> BeamformerSet:
-    """Beamformers with the null on the relay's transmit side (mirror case)."""
-    return _design_zf(sample, ZFMode.TRANSMIT)
-
-
-def zf_residual(sample: ChannelSample, beams: BeamformerSet) -> float:
-    """|w_r^H H_rr w_t| — exactly zero up to roundoff by construction."""
-    return abs(complex(beams.w_r.conj() @ sample.h_rr @ beams.w_t))
-
-
-def instantaneous_snrs(
-    sample: ChannelSample,
-    beams: BeamformerSet,
-    budget: LinkBudget,
-    mode: ZFMode,
-) -> TrialResult:
-    """Per-hop instantaneous SNRs for one trial.
-
-    Each hop's SNR is the link scale times the largest eigenvalue of that
-    hop's (possibly projected) Gram matrix; the hop without the null uses
-    the full channel.
-    """
-    if mode is ZFMode.RECEIVE:
-        proj = left_null_projector(sample.h_rr @ beams.w_t)
-        lam_sr = float(np.linalg.eigvalsh(sample.h_sr.conj().T @ proj @ sample.h_sr)[-1])
-        lam_rd = float(np.linalg.eigvalsh(sample.h_rd.conj().T @ sample.h_rd)[-1])
-    else:
-        proj = left_null_projector(sample.h_rr.conj().T @ beams.w_r)
-        lam_sr = float(np.linalg.eigvalsh(sample.h_sr.conj().T @ sample.h_sr)[-1])
-        lam_rd = float(np.linalg.eigvalsh(sample.h_rd.conj().T @ proj @ sample.h_rd)[-1])
-    return TrialResult(
-        snr_sr=budget.scale_sr * lam_sr,
-        snr_rd=budget.scale_rd * lam_rd,
-        zf_residual=zf_residual(sample, beams),
-    )
-
-
-def received_powers(
-    sample: ChannelSample, beams: BeamformerSet, p_s: float, p_r: float
-) -> tuple[float, float]:
-    """Received powers at relay and destination via the covariance expansion.
-
-    Relay: p_s * w_r^H h h^H w_r + w_r^H w_r (noise term carries the actual
-    beamformer norm, not an assumed one).  Destination: p_r * g^H W_t W_t^H g
-    plus unit scalar noise.
-    """
-    h = sample.h_sr @ beams.t_s
-    inner_r = complex(beams.w_r.conj() @ h)
-    tr_r = p_s * (inner_r * inner_r.conjugate()).real + float(
-        np.vdot(beams.w_r, beams.w_r).real
-    )
-    g = sample.h_rd @ beams.t_d
-    tr_d = p_r * float((g.conj() @ np.outer(beams.w_t, beams.w_t.conj()) @ g).real) + 1.0
-    return tr_r, tr_d
-
-
-def power_identity_check(
-    sample: ChannelSample, beams: BeamformerSet, budget: LinkBudget
-) -> float:
-    """Received-power identity residual at both relay and destination.
-
-    Computes each received power once through the covariance expansion and
-    once through the compact p * |inner product|^2 + 1 form; returns the
-    larger absolute discrepancy.  Non-unit beamformers break the relay-side
-    identity, which is what this check is for.
-    """
-    p_s = budget.effective_p_s
-    p_r = budget.effective_p_r
-    cov_r, cov_d = received_powers(sample, beams, p_s, p_r)
-    h = sample.h_sr @ beams.t_s
-    g = sample.h_rd @ beams.t_d
-    compact_r = p_s * abs(complex(beams.w_r.conj() @ h)) ** 2 + 1.0
-    compact_d = p_r * abs(complex(g.conj() @ beams.w_t)) ** 2 + 1.0
-    return max(abs(cov_r - compact_r), abs(cov_d - compact_d))
 
 
 # -- batched gain kernel ------------------------------------------------------
@@ -462,21 +325,19 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     return lo, hi
 
 
-def estimate_outage(
-    config: AntennaConfig,
-    budget: LinkBudget,
-    query: OutageQuery,
-    trials: int,
-    seed: int,
-) -> OutageEstimate:
-    """Empirical end-to-end outage: a trial fails iff either hop is below
-    threshold, which is the same event as min(snr_sr, snr_rd) < gamma_t."""
-    gamma_t = query.snr_threshold()
-    lam_sr, lam_rd = link_gain_samples(config, trials, seed)
+def outage_from_gains(gains, budget: LinkBudget, gamma_t: float,
+                      z: float = Z_95) -> tuple[float, float, float]:
+    """Empirical end-to-end outage of unit-scale (SR, RD) gain samples.
+
+    A trial fails iff either hop's SNR is below ``gamma_t``, which is the
+    same event as min(snr_sr, snr_rd) < gamma_t.  Returns
+    ``(p_hat, ci_low, ci_high)`` with a Wilson interval at quantile ``z``.
+    """
+    lam_sr, lam_rd = gains
     snr_min = np.minimum(budget.scale_sr * lam_sr, budget.scale_rd * lam_rd)
     failures = int(np.count_nonzero(snr_min < gamma_t))
-    lo, hi = wilson_interval(failures, trials)
-    return OutageEstimate(p_hat=failures / trials, ci_low=lo, ci_high=hi, trials=trials)
+    trials = snr_min.size
+    return (failures / trials, *wilson_interval(failures, trials, z))
 
 
 def sample_wishart_max_eig(

@@ -14,16 +14,10 @@ from scipy import stats
 
 from fdrelay.exppoly import ExpPoly
 from fdrelay.mcsim import (
-    design_receive_zf,
-    design_transmit_zf,
-    instantaneous_snrs,
-    left_null_projector,
     link_gain_samples,
     make_rng,
-    power_identity_check,
-    sample_channels,
+    outage_from_gains,
     sample_wishart_max_eig,
-    wilson_interval,
 )
 from fdrelay.outage import (
     AntennaConfig,
@@ -34,6 +28,14 @@ from fdrelay.outage import (
     end_to_end_outage,
 )
 from fdrelay.wishart import WishartDims, extract_coefficients, max_eig_cdf
+from zf_reference import (
+    draw_trials,
+    loopback_direction,
+    power_identity_residual,
+    projector_law_residual,
+    projectors,
+    zf_null,
+)
 
 CONFIG_SET = [(2, 3, 2, 1), (2, 2, 3, 1), (2, 3, 2, 2), (2, 3, 2, 3), (3, 2, 2, 2)]
 MODES = (ZFMode.RECEIVE, ZFMode.TRANSMIT)
@@ -141,15 +143,12 @@ def test_criterion_5_closed_form_inside_mc_ci():
     for antennas in CONFIG_SET:
         for mode in MODES:
             cfg = AntennaConfig(*antennas, mode)
-            lam_sr, lam_rd = link_gain_samples(cfg, TRIALS, MC_SEED)
+            gains = link_gain_samples(cfg, TRIALS, MC_SEED)
             for name, alphas in BUDGET_ALPHAS.items():
                 for g_db in GRID_DB:
                     budget = _budget(g_db, alphas)
                     analytic = end_to_end_outage(cfg, budget, query)
-                    snr_min = np.minimum(budget.scale_sr * lam_sr,
-                                         budget.scale_rd * lam_rd)
-                    k = int(np.count_nonzero(snr_min < GAMMA_T))
-                    lo, hi = wilson_interval(k, TRIALS, z=Z_99)
+                    _, lo, hi = outage_from_gains(gains, budget, GAMMA_T, z=Z_99)
                     points += 1
                     if not lo <= analytic <= hi:
                         misses.append((antennas, mode.value, name, g_db,
@@ -209,33 +208,21 @@ def test_criterion_7_diversity_order_slopes():
 
 
 def test_criterion_8_model_identities():
+    # kernel beams for 5,000 trials per mode, checked against test-side
+    # einsum references
     budget = LinkBudget(p_s=2.0, p_r=3.0)
     worst_zf = worst_power = worst_proj = 0.0
     trials_per_mode = 5_000
-    for mode, designer, seed in (
-        (ZFMode.RECEIVE, design_receive_zf, 800),
-        (ZFMode.TRANSMIT, design_transmit_zf, 801),
-    ):
+    for mode, seed in ((ZFMode.RECEIVE, 800), (ZFMode.TRANSMIT, 801)):
         cfg = AntennaConfig(2, 3, 2, 2, mode)
-        rng = make_rng(seed)
-        for _ in range(trials_per_mode):
-            sample = sample_channels(rng, cfg)
-            beams = designer(sample)
-            res = instantaneous_snrs(sample, beams, budget, mode)
-            worst_zf = max(worst_zf, res.zf_residual)
-            worst_power = max(worst_power, power_identity_check(sample, beams, budget))
-            if mode is ZFMode.RECEIVE:
-                proj = left_null_projector(sample.h_rr @ beams.w_t)
-                expected_rank = cfg.n_r1 - 1
-            else:
-                proj = left_null_projector(sample.h_rr.conj().T @ beams.w_r)
-                expected_rank = cfg.n_r2 - 1
-            worst_proj = max(
-                worst_proj,
-                float(np.max(np.abs(proj @ proj - proj))),
-                float(np.max(np.abs(proj - proj.conj().T))),
-                abs(float(np.trace(proj).real) - expected_rank),
-            )
+        (h_sr, h_rr, h_rd), _, _, bad, beams = draw_trials(cfg, trials_per_mode, seed)
+        assert not bad.any()
+        worst_zf = max(worst_zf, float(np.max(zf_null(h_rr, beams))))
+        worst_power = max(worst_power,
+                          float(np.max(power_identity_residual(h_sr, h_rd, beams, budget))))
+        proj = projectors(loopback_direction(h_rr, beams, mode))
+        assert proj.shape[1] == (cfg.n_r1 if mode is ZFMode.RECEIVE else cfg.n_r2)
+        worst_proj = max(worst_proj, projector_law_residual(proj))
     ok = worst_zf <= 1e-10 and worst_power <= 1e-10 and worst_proj <= 1e-12
     _report(
         "criterion 8: ZF null, power identities, projector laws on 1e4 trials",

@@ -16,7 +16,6 @@ from fdrelay.exppoly import (
     _det_cofactor,
     determinant,
     divexact,
-    leading_coefficient,
 )
 from fdrelay.wishart import gram_entries, lower_gamma_poly, WishartDims
 
@@ -109,11 +108,11 @@ def test_diff_product_rule_single_term():
 # -- leading coefficient lookups ---------------------------------------------------
 
 
-def test_leading_coefficient_lookup():
+def test_coeff_lookup():
     p = ep({(1, 2): 1, (2, 0): -2})
-    assert leading_coefficient(p, 1, 2) == 1
-    assert leading_coefficient(p, 2, 0) == -2
-    assert leading_coefficient(p, 3, 5) == 0
+    assert p.coeff(1, 2) == 1
+    assert p.coeff(2, 0) == -2
+    assert p.coeff(3, 5) == 0
 
 
 # -- determinants ----------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Monte Carlo simulator: channel statistics, beamformers, outage estimates."""
 
-import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -11,28 +11,31 @@ from fdrelay.mcsim import (
     BLOCK_SIZE,
     SUB_BATCH,
     BeamformerSet,
-    ChannelSample,
     DegenerateChannelError,
     _col_gram,
     _gains_from_channels,
+    _sample_arrays,
+    _soa,
     _top_eig,
-    design_receive_zf,
-    design_transmit_zf,
-    estimate_outage,
-    instantaneous_snrs,
-    left_null_projector,
+    _zf_trials,
     link_gain_samples,
     make_rng,
-    power_identity_check,
-    received_powers,
-    sample_channels,
+    outage_from_gains,
     sample_wishart_max_eig,
     projected_max_eig_samples,
     wilson_interval,
-    zf_residual,
 )
 from fdrelay.outage import AntennaConfig, LinkBudget, OutageQuery, ZFMode, end_to_end_outage
 from fdrelay.wishart import WishartDims
+from zf_reference import (
+    draw_trials,
+    loopback_direction,
+    power_identity_residual,
+    projector_law_residual,
+    projectors,
+    received_powers,
+    zf_null,
+)
 
 RX_CFG = AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE)
 TX_CFG = AntennaConfig(2, 3, 2, 2, ZFMode.TRANSMIT)
@@ -42,13 +45,12 @@ TX_CFG = AntennaConfig(2, 3, 2, 2, ZFMode.TRANSMIT)
 
 
 def test_sampling_is_deterministic_given_seed():
-    s1 = sample_channels(make_rng(42), RX_CFG)
-    s2 = sample_channels(make_rng(42), RX_CFG)
-    np.testing.assert_array_equal(s1.h_sr, s2.h_sr)
-    np.testing.assert_array_equal(s1.h_rr, s2.h_rr)
-    np.testing.assert_array_equal(s1.h_rd, s2.h_rd)
-    s3 = sample_channels(make_rng(43), RX_CFG)
-    assert not np.array_equal(s1.h_sr, s3.h_sr)
+    s1 = _sample_arrays(make_rng(42), RX_CFG, 1)
+    s2 = _sample_arrays(make_rng(42), RX_CFG, 1)
+    for a, b in zip(s1, s2):
+        np.testing.assert_array_equal(a, b)
+    s3 = _sample_arrays(make_rng(43), RX_CFG, 1)
+    assert not np.array_equal(s1[0], s3[0])
 
 
 def test_substreams_differ():
@@ -58,47 +60,46 @@ def test_substreams_differ():
 
 
 def test_entry_statistics():
-    rng = make_rng(1)
-    entries = np.concatenate([
-        sample_channels(rng, RX_CFG).h_sr.ravel() for _ in range(10_000)
-    ])
+    entries = _sample_arrays(make_rng(1), RX_CFG, 10_000)[0].ravel()
     assert entries.size >= 10_000
     assert np.mean(np.abs(entries) ** 2) == pytest.approx(1.0, abs=0.01)
     assert abs(np.mean(entries)) < 0.01
 
 
 def test_channel_shapes():
-    s = sample_channels(make_rng(0), AntennaConfig(3, 4, 2, 1, ZFMode.RECEIVE))
-    assert s.h_sr.shape == (4, 3)
-    assert s.h_rr.shape == (4, 2)
-    assert s.h_rd.shape == (2, 1)
+    h_sr, h_rr, h_rd = _sample_arrays(make_rng(0), AntennaConfig(3, 4, 2, 1, ZFMode.RECEIVE), 5)
+    assert h_sr.shape == (5, 4, 3)
+    assert h_rr.shape == (5, 4, 2)
+    assert h_rd.shape == (5, 2, 1)
 
 
 # -- projector ---------------------------------------------------------------
 
 
 def test_projector_axis_aligned():
-    p = left_null_projector(np.array([1.0, 0.0, 0.0], dtype=complex), 3)
-    np.testing.assert_allclose(p, np.diag([0.0, 1.0, 1.0]), atol=1e-15)
+    p = projectors(np.array([[1.0], [0.0], [0.0]], dtype=complex))
+    np.testing.assert_allclose(p[0], np.diag([0.0, 1.0, 1.0]), atol=1e-15)
 
 
 def test_projector_laws():
     rng = make_rng(3)
-    for _ in range(50):
-        dim = int(rng.integers(2, 6))
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        p = left_null_projector(v)
-        assert np.max(np.abs(p - p.conj().T)) <= 1e-12
-        assert np.max(np.abs(p @ p - p)) <= 1e-12
-        assert np.max(np.abs(p @ v)) <= 1e-12 * np.linalg.norm(v)
-        assert np.trace(p).real == pytest.approx(dim - 1, abs=1e-12)
+    for dim in range(2, 6):
+        v = rng.standard_normal((dim, 50)) + 1j * rng.standard_normal((dim, 50))
+        unit = v / np.linalg.norm(v, axis=0)
+        p = projectors(unit)
+        assert projector_law_residual(p) <= 1e-12
+        assert np.max(np.abs(np.einsum("nij,jn->in", p, v))) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_projector_rejects_zero_vector():
-    with pytest.raises(DegenerateChannelError):
-        left_null_projector(np.zeros(3, dtype=complex))
-    with pytest.raises(ValueError):
-        left_null_projector(np.ones(3, dtype=complex), dim=4)
+    # A zero loopback image has no direction to project off: the kernel
+    # flags that trial instead of dividing by its norm.
+    h_sr, h_rr, h_rd = _sample_arrays(make_rng(4), RX_CFG, 3)
+    h_rr[1] = 0.0
+    for mode in ZFMode:
+        lam_sr, lam_rd, bad, _ = _zf_trials(_soa(h_sr), _soa(h_rr), _soa(h_rd), mode)
+        assert bad.tolist() == [False, True, False]
+        assert np.all(np.isfinite(lam_sr)) and np.all(np.isfinite(lam_rd))
 
 
 # -- beamformer designs ---------------------------------------------------------
@@ -106,37 +107,41 @@ def test_projector_rejects_zero_vector():
 
 def _norms_ok(beams):
     return all(
-        np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-12)
         for v in (beams.t_s, beams.t_d, beams.w_r, beams.w_t)
     )
 
 
+def _projected_gains(h, p, t):
+    """Top eigenvalue of each trial's h^H P h, and the beamformed gain |P h t|^2."""
+    lam = np.linalg.eigvalsh(np.einsum("nji,njk,nkl->nil", h.conj(), p, h))[:, -1]
+    gain = np.linalg.norm(np.einsum("nij,njk,kn->ni", p, h, t), axis=1) ** 2
+    return lam, gain
+
+
 def test_receive_zf_design_properties():
-    rng = make_rng(10)
-    for _ in range(200):
-        s = sample_channels(rng, RX_CFG)
-        beams = design_receive_zf(s)
-        assert _norms_ok(beams)
-        assert zf_residual(s, beams) <= 1e-10
-        # beamformed gain equals the projected Gram's top eigenvalue
-        proj = left_null_projector(s.h_rr @ beams.w_t)
-        lam = np.linalg.eigvalsh(s.h_sr.conj().T @ proj @ s.h_sr)[-1]
-        gain = np.linalg.norm(proj @ (s.h_sr @ beams.t_s)) ** 2
-        assert gain == pytest.approx(lam, rel=1e-9)
+    (h_sr, h_rr, _), lam_sr, _, bad, beams = draw_trials(RX_CFG, 200, seed=10)
+    assert not bad.any()
+    assert _norms_ok(beams)
+    assert np.max(zf_null(h_rr, beams)) <= 1e-10
+    # beamformed gain equals the projected Gram's top eigenvalue
+    lam, gain = _projected_gains(h_sr, projectors(loopback_direction(h_rr, beams, RX_CFG.mode)),
+                                 beams.t_s)
+    np.testing.assert_allclose(gain, lam, rtol=1e-9)
+    np.testing.assert_allclose(lam_sr, lam, rtol=1e-9)
 
 
 def test_transmit_zf_design_properties():
-    rng = make_rng(11)
-    for _ in range(200):
-        s = sample_channels(rng, TX_CFG)
-        beams = design_transmit_zf(s)
-        assert _norms_ok(beams)
-        assert zf_residual(s, beams) <= 1e-10
-        proj = left_null_projector(s.h_rr.conj().T @ (s.h_sr @ beams.t_s))
-        assert np.trace(proj).real == pytest.approx(TX_CFG.n_r2 - 1, abs=1e-12)
-        lam = np.linalg.eigvalsh(s.h_rd.conj().T @ proj @ s.h_rd)[-1]
-        gain = np.linalg.norm(proj @ (s.h_rd @ beams.t_d)) ** 2
-        assert gain == pytest.approx(lam, rel=1e-9)
+    (_, h_rr, h_rd), _, lam_rd, bad, beams = draw_trials(TX_CFG, 200, seed=11)
+    assert not bad.any()
+    assert _norms_ok(beams)
+    assert np.max(zf_null(h_rr, beams)) <= 1e-10
+    proj = projectors(loopback_direction(h_rr, beams, TX_CFG.mode))
+    np.testing.assert_allclose(np.trace(proj, axis1=1, axis2=2).real, TX_CFG.n_r2 - 1,
+                               rtol=0, atol=1e-12)
+    lam, gain = _projected_gains(h_rd, proj, beams.t_d)
+    np.testing.assert_allclose(gain, lam, rtol=1e-9)
+    np.testing.assert_allclose(lam_rd, lam, rtol=1e-9)
 
 
 # -- instantaneous SNRs ----------------------------------------------------------
@@ -144,32 +149,30 @@ def test_transmit_zf_design_properties():
 
 def test_snrs_hand_computed_case():
     # n_s = n_d = 1, n_r1 = n_r2 = 2: everything reduces to 2-vectors
-    cfg = AntennaConfig(1, 2, 2, 1, ZFMode.RECEIVE)
-    sample = ChannelSample(
-        h_sr=np.array([[2.0], [3.0]], dtype=complex),
-        h_rr=np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
-        h_rd=np.array([[1.0], [0.0]], dtype=complex),
-    )
-    beams = design_receive_zf(sample)
+    h_sr = np.array([[2.0], [3.0]], dtype=complex)
+    h_rr = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    h_rd = np.array([[1.0], [0.0]], dtype=complex)
+    lam_sr, lam_rd, bad, beams = _zf_trials(
+        *(_soa(h[None]) for h in (h_sr, h_rr, h_rd)), ZFMode.RECEIVE)
     budget = LinkBudget(p_s=2.0, p_r=3.0)
-    res = instantaneous_snrs(sample, beams, budget, cfg.mode)
     # t_d = 1, h_rd_eff = e1, loopback image = e2, projector keeps e1:
     # SR gain |2|^2 = 4, RD gain |h_rd|^2 = 1
-    assert res.snr_sr == pytest.approx(2.0 * 4.0, rel=1e-12)
-    assert res.snr_rd == pytest.approx(3.0 * 1.0, rel=1e-12)
-    assert res.zf_residual <= 1e-12
+    assert not bad[0]
+    assert budget.scale_sr * lam_sr[0] == pytest.approx(2.0 * 4.0, rel=1e-12)
+    assert budget.scale_rd * lam_rd[0] == pytest.approx(3.0 * 1.0, rel=1e-12)
+    assert zf_null(h_rr[None], beams)[0] <= 1e-12
 
 
 def test_snrs_linear_in_power():
-    rng = make_rng(5)
-    s = sample_channels(rng, RX_CFG)
-    beams = design_receive_zf(s)
+    gains = link_gain_samples(RX_CFG, 5000, seed=5)
     base = LinkBudget(p_s=1.5, p_r=2.5, gammabar_sr=3.0, gammabar_rd=7.0)
     quad = LinkBudget(p_s=6.0, p_r=10.0, gammabar_sr=3.0, gammabar_rd=7.0)
-    r1 = instantaneous_snrs(s, beams, base, ZFMode.RECEIVE)
-    r4 = instantaneous_snrs(s, beams, quad, ZFMode.RECEIVE)
-    assert r4.snr_sr == 4.0 * r1.snr_sr
-    assert r4.snr_rd == 4.0 * r1.snr_rd
+    assert quad.scale_sr == 4.0 * base.scale_sr
+    assert quad.scale_rd == 4.0 * base.scale_rd
+    # four times the power against four times the threshold: the same trials fail
+    est = outage_from_gains(gains, base, 20.0)
+    assert 0.0 < est[0] < 1.0
+    assert outage_from_gains(gains, quad, 80.0) == est
 
 
 def test_mean_projected_gain_matches_quadrature():
@@ -179,69 +182,77 @@ def test_mean_projected_gain_matches_quadrature():
 
 
 def test_batch_and_scalar_paths_agree():
-    rng = make_rng(17)
+    # a batch of one gives the same gains as that trial inside a larger,
+    # sub-batched run
     for cfg in (RX_CFG, TX_CFG):
-        s = sample_channels(rng, cfg)
-        design = design_receive_zf if cfg.mode is ZFMode.RECEIVE else design_transmit_zf
-        beams = design(s)
-        res = instantaneous_snrs(s, beams, LinkBudget(), cfg.mode)
-        lam_sr, lam_rd, bad = _gains_from_channels(
-            s.h_sr[None], s.h_rr[None], s.h_rd[None], cfg.mode
-        )
-        assert not bad[0]
-        assert res.snr_sr == pytest.approx(float(lam_sr[0]), rel=1e-9)
-        assert res.snr_rd == pytest.approx(float(lam_rd[0]), rel=1e-9)
+        channels = _sample_arrays(make_rng(17), cfg, SUB_BATCH + 3)
+        lam_sr, lam_rd, bad = _gains_from_channels(*channels, cfg.mode)
+        assert not bad.any()
+        for i in (0, SUB_BATCH + 1):
+            one_sr, one_rd, one_bad, _ = _zf_trials(*(_soa(h[i:i + 1]) for h in channels),
+                                                     cfg.mode)
+            assert not one_bad[0]
+            assert one_sr[0] == pytest.approx(lam_sr[i], rel=1e-12)
+            assert one_rd[0] == pytest.approx(lam_rd[i], rel=1e-12)
 
 
 # -- power identities ----------------------------------------------------------------
 
 
 def test_power_identity_random_trials():
-    rng = make_rng(6)
     budget = LinkBudget(p_s=4.0, p_r=2.0)
-    for _ in range(200):
-        s = sample_channels(rng, RX_CFG)
-        beams = design_receive_zf(s)
-        assert power_identity_check(s, beams, budget) <= 1e-10
+    for cfg in (RX_CFG, TX_CFG):
+        (h_sr, _, h_rd), *_, beams = draw_trials(cfg, 200, seed=6)
+        assert np.max(power_identity_residual(h_sr, h_rd, beams, budget)) <= 1e-10
 
 
 def test_power_identity_detects_non_unit_beamformer():
-    s = sample_channels(make_rng(8), RX_CFG)
-    beams = design_receive_zf(s)
+    (h_sr, _, h_rd), *_, beams = draw_trials(RX_CFG, 1, seed=8)
     skewed = BeamformerSet(t_s=beams.t_s, t_d=beams.t_d,
                            w_r=1.1 * beams.w_r, w_t=beams.w_t)
-    budget = LinkBudget()
     # relay noise term becomes |1.1|^2 = 1.21 while the compact form assumes 1
-    assert power_identity_check(s, skewed, budget) == pytest.approx(0.21, abs=1e-9)
+    residual = power_identity_residual(h_sr, h_rd, skewed, LinkBudget())
+    assert residual[0] == pytest.approx(0.21, abs=1e-9)
 
 
 def test_noise_only_received_power():
-    s = sample_channels(make_rng(9), RX_CFG)
-    beams = design_receive_zf(s)
-    tr_r, tr_d = received_powers(s, beams, p_s=0.0, p_r=0.0)
-    assert tr_r == pytest.approx(1.0, abs=1e-12)
-    assert tr_d == pytest.approx(1.0, abs=1e-12)
+    (h_sr, _, h_rd), *_, beams = draw_trials(RX_CFG, 1, seed=9)
+    tr_r, tr_d = received_powers(h_sr, h_rd, beams, p_s=0.0, p_r=0.0)
+    assert tr_r[0] == pytest.approx(1.0, abs=1e-12)
+    assert tr_d[0] == pytest.approx(1.0, abs=1e-12)
 
 
 # -- outage estimation -----------------------------------------------------------------
 
 
+def test_outage_from_gains_hand_count():
+    gains = (np.array([1.0, 2.0, 3.0, 4.0]), np.array([4.0, 3.0, 2.0, 0.5]))
+    # SNRs min(2 * sr, rd) = (2, 3, 2, 0.5): three of four are below 2.5
+    p_hat, lo, hi = outage_from_gains(gains, LinkBudget(p_s=2.0), 2.5)
+    assert p_hat == 0.75
+    assert (lo, hi) == wilson_interval(3, 4)
+    z_99 = 2.5758293035489004
+    assert outage_from_gains(gains, LinkBudget(p_s=2.0), 2.5, z=z_99) == (
+        0.75, *wilson_interval(3, 4, z=z_99))
+    # the threshold itself is not an outage
+    assert outage_from_gains(gains, LinkBudget(p_s=2.0), 2.0)[0] == 0.25
+
+
 def test_estimate_outage_trivial_thresholds():
+    gains = link_gain_samples(RX_CFG, 2000, seed=1)
     budget = LinkBudget()
-    zero = estimate_outage(RX_CFG, budget, OutageQuery.snr(0.0), 2000, seed=1)
-    assert zero.p_hat == 0.0
-    sure = estimate_outage(RX_CFG, budget, OutageQuery.snr(1e12), 2000, seed=1)
-    assert sure.p_hat == 1.0
+    assert outage_from_gains(gains, budget, 0.0)[0] == 0.0
+    assert outage_from_gains(gains, budget, 1e12)[0] == 1.0
 
 
 def test_estimate_outage_deterministic():
     budget = LinkBudget(gammabar_sr=10.0, gammabar_rd=10.0)
-    q = OutageQuery.snr(5.0)
-    e1 = estimate_outage(RX_CFG, budget, q, 30_000, seed=77)
-    e2 = estimate_outage(RX_CFG, budget, q, 30_000, seed=77)
+    e1 = outage_from_gains(link_gain_samples(RX_CFG, 30_000, seed=77), budget, 5.0)
+    e2 = outage_from_gains(link_gain_samples(RX_CFG, 30_000, seed=77), budget, 5.0)
     assert e1 == e2
-    assert e1.ci_low <= e1.p_hat <= e1.ci_high
-    assert e1.trials == 30_000
+    p_hat, lo, hi = e1
+    assert lo <= p_hat <= hi
+    assert (p_hat * 30_000) == round(p_hat * 30_000)
 
 
 def test_estimate_outage_matches_closed_form():
@@ -250,9 +261,57 @@ def test_estimate_outage_matches_closed_form():
     budget = LinkBudget(gammabar_sr=g, gammabar_rd=g)
     q = OutageQuery.snr(10.0)
     analytic = end_to_end_outage(cfg, budget, q)
-    est = estimate_outage(cfg, budget, q, 50_000, seed=3)
-    se = math.sqrt(analytic * (1 - analytic) / est.trials)
-    assert abs(est.p_hat - analytic) <= 4.0 * se
+    trials = 50_000
+    p_hat, _, _ = outage_from_gains(link_gain_samples(cfg, trials, seed=3), budget,
+                                    q.snr_threshold())
+    se = math.sqrt(analytic * (1 - analytic) / trials)
+    assert abs(p_hat - analytic) <= 4.0 * se
+
+
+# -- degenerate trials -------------------------------------------------------------------
+
+
+def _zero_loopback(monkeypatch, trials_hit):
+    """Make ``_sample_arrays`` return h_rr = 0 for the given trial indices of
+    the first ``len(trials_hit)`` draws (every draw when trials_hit is None)."""
+    sample = mcsim._sample_arrays
+    calls = []
+
+    def patched(rng, config, n):
+        h_sr, h_rr, h_rd = sample(rng, config, n)
+        calls.append(n)
+        if trials_hit is None:
+            h_rr[:] = 0.0
+        elif len(calls) <= len(trials_hit):
+            h_rr[trials_hit[len(calls) - 1]] = 0.0
+        return h_sr, h_rr, h_rd
+
+    monkeypatch.setattr(mcsim, "_sample_arrays", patched)
+    return calls
+
+
+def test_degenerate_trials_are_redrawn(monkeypatch, caplog):
+    monkeypatch.setattr(mcsim, "MAX_REDRAW_FRACTION", 1e-2)
+    # three degenerate trials in the block, then one of the redraws again
+    calls = _zero_loopback(monkeypatch, [[5, 17, 400], [1]])
+    with caplog.at_level(logging.WARNING, logger=mcsim.__name__):
+        lam_sr, lam_rd = link_gain_samples(RX_CFG, 1000, seed=2)
+    assert calls == [1000, 3, 1]
+    assert np.all(np.isfinite(lam_sr)) and np.all(np.isfinite(lam_rd))
+    assert np.all(lam_sr > 0.0) and np.all(lam_rd > 0.0)
+    assert "redrew 4 degenerate trial(s) of 1000" in caplog.text
+
+
+def test_degenerate_redraws_beyond_tolerance_raise(monkeypatch):
+    _zero_loopback(monkeypatch, [[5, 17, 400]])
+    with pytest.raises(DegenerateChannelError, match="exceeds tolerance"):
+        link_gain_samples(RX_CFG, 1000, seed=2)
+
+
+def test_persistent_degenerate_trials_raise(monkeypatch):
+    _zero_loopback(monkeypatch, None)
+    with pytest.raises(DegenerateChannelError, match="persistent"):
+        link_gain_samples(RX_CFG, 100, seed=2)
 
 
 def _reference_gains(config, trials, seed):
