@@ -130,42 +130,38 @@ def _unit_cols(v: np.ndarray) -> np.ndarray:
     return v / np.where(zero, 1.0, nrm)
 
 
-def _top_eig(m: np.ndarray, want_vec: bool = False):
-    """Largest eigenvalue and, if ``want_vec``, a unit eigenvector of a batch
-    of Hermitian positive semidefinite matrices given as (k, k, n).
+def _top_eig(m: np.ndarray):
+    """Largest eigenvalue and a unit eigenvector of a batch of Hermitian
+    positive semidefinite matrices given as (k, k, n).
 
     Returns ``(lam, vec)``: ``lam`` of shape (n,), clipped at 0, and ``vec``
-    of shape (k, n) or None.  k = 1 and 2 are closed forms; k = 3 solves the
+    of shape (k, n).  k = 1 and 2 are closed forms; k = 3 solves the
     characteristic cubic trigonometrically, takes the eigenvector as a cross
     product of two rows of m - lam I, and leaves trials with a top-eigenvalue
     gap below EIG3_GAP_MIN to LAPACK; k >= 4 is LAPACK throughout.
     """
     k, n = m.shape[0], m.shape[2]
-    vec = None
     if k == 1:
         lam = m[0, 0].real
-        if want_vec:
-            vec = np.ones((1, n), dtype=complex)
+        vec = np.ones((1, n), dtype=complex)
     elif k == 2:
         a, d, b = m[0, 0].real, m[1, 1].real, m[0, 1]
         half = 0.5 * (a - d)
         h = np.hypot(half, np.abs(b))
         lam = 0.5 * (a + d) + h
-        if want_vec:
-            # (b, lam - a) and (lam - d, b*) both solve (m - lam) v = 0; the
-            # one whose second term adds h to |half| has no cancellation.
-            vec = _unit_cols(np.where(half <= 0.0, [b, h - half], [h + half, b.conj()]))
+        # (b, lam - a) and (lam - d, b*) both solve (m - lam) v = 0; the
+        # one whose second term adds h to |half| has no cancellation.
+        vec = _unit_cols(np.where(half <= 0.0, [b, h - half], [h + half, b.conj()]))
     elif k == 3:
-        lam, vec = _top_eig3(m, want_vec)
+        lam, vec = _top_eig3(m)
     else:
         vals, vecs = np.linalg.eigh(np.moveaxis(m, -1, 0))
         lam = vals[:, -1]
-        if want_vec:
-            vec = vecs[:, :, -1].T
+        vec = vecs[:, :, -1].T
     return np.maximum(lam, 0.0), vec
 
 
-def _top_eig3(m: np.ndarray, want_vec: bool):
+def _top_eig3(m: np.ndarray):
     diag = m[[0, 1, 2], [0, 1, 2]].real
     q = diag.mean(axis=0)
     b0, b1, b2 = diag - q
@@ -179,27 +175,24 @@ def _top_eig3(m: np.ndarray, want_vec: bool):
         lam = q + 2.0 * p * np.cos(phi)
         gap = 2.0 * math.sqrt(3.0) * p * np.sin(math.pi / 3.0 - phi) / lam
     slow = ~(gap >= EIG3_GAP_MIN)  # also catches the NaNs of p = 0
-    vec = None
-    if want_vec:
-        # m - lam I has rank 2, so its adjugate, whose columns are cross
-        # products of row pairs, is a multiple of v v^H: take the column
-        # with the largest diagonal entry.
-        c0, c1, c2 = diag - lam
-        a01 = o02 * o12.conj() - c2 * o01
-        a02 = o01 * o12 - c1 * o02
-        a12 = o02 * o01.conj() - c0 * o12
-        a00, a11, a22 = c1 * c2 - s12, c0 * c2 - s02, c0 * c1 - s01
-        adj = np.array([[a00, a01, a02], [a01.conj(), a11, a12], [a02.conj(), a12.conj(), a22]])
-        best = np.argmax([a00, a11, a22], axis=0)
-        vec = np.take_along_axis(adj, best[None, None], axis=1)[:, 0]
-        vec[:, slow] = 0.0  # filled in by LAPACK below
-        vec = _unit_cols(vec)
+    # m - lam I has rank 2, so its adjugate, whose columns are cross
+    # products of row pairs, is a multiple of v v^H: take the column
+    # with the largest diagonal entry.
+    c0, c1, c2 = diag - lam
+    a01 = o02 * o12.conj() - c2 * o01
+    a02 = o01 * o12 - c1 * o02
+    a12 = o02 * o01.conj() - c0 * o12
+    a00, a11, a22 = c1 * c2 - s12, c0 * c2 - s02, c0 * c1 - s01
+    adj = np.array([[a00, a01, a02], [a01.conj(), a11, a12], [a02.conj(), a12.conj(), a22]])
+    best = np.argmax([a00, a11, a22], axis=0)
+    vec = np.take_along_axis(adj, best[None, None], axis=1)[:, 0]
+    vec[:, slow] = 0.0  # filled in by LAPACK below
+    vec = _unit_cols(vec)
     idx = np.flatnonzero(slow)
     if idx.size:
         vals, vecs = np.linalg.eigh(np.moveaxis(m[:, :, idx], -1, 0))
         lam[idx] = vals[:, -1]
-        if want_vec:
-            vec[:, idx] = vecs[:, :, -1].T
+        vec[:, idx] = vecs[:, :, -1].T
     return lam, vec
 
 
@@ -231,13 +224,13 @@ def _zf_trials(h_sr, h_rr, h_rd, mode: ZFMode):
         near, far, loop = h_sr, h_rd, h_rr
     else:
         near, far, loop = h_rd, h_sr, h_rr.conj().transpose(1, 0, 2)
-    lam_far, t_far = _top_eig(_col_gram(far), want_vec=True)
+    lam_far, t_far = _top_eig(_col_gram(far))
     w_far = _unit_cols(_matvec(far, t_far))
     image = _matvec(loop, w_far)
     nrm = np.linalg.norm(image, axis=0)
     bad = nrm < DEGENERATE_TOL
     projected = _project_off(near, image / np.where(bad, 1.0, nrm))
-    lam_near, t_near = _top_eig(_col_gram(projected), want_vec=True)
+    lam_near, t_near = _top_eig(_col_gram(projected))
     w_near = _unit_cols(_matvec(projected, t_near))
     null = np.abs((w_near.conj() * image).sum(axis=0))
     worst = float(np.max(np.where(bad, 0.0, null)))

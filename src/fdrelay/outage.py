@@ -186,7 +186,7 @@ def regularized_lower_gamma(s: int, x: float) -> float:
 
 
 def _check_probability(value: float, context: str) -> float:
-    if value < -PROBABILITY_SLACK or value > 1.0 + PROBABILITY_SLACK:
+    if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
         raise InvalidProbabilityError(f"{context} = {value!r} is outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
@@ -200,7 +200,7 @@ def link_outage(table: CoeffTable, scale: float, gamma_t: float) -> float:
     """
     if not scale > 0:
         raise ValueError("scale must be > 0")
-    if gamma_t < 0:
+    if not gamma_t >= 0:
         raise ValueError("gamma_t must be non-negative")
     if gamma_t == 0:
         return 0.0

@@ -208,7 +208,6 @@ def test_sweep_rejects_out_of_range_values(tmp_path, capsys, key, value, message
 @pytest.mark.parametrize("command, flag, value, message", [
     ("sweep", "--seed", "-3", "--seed: seed must be in [0, 2**128)"),
     ("compare", "--seed", str(2 ** 128), "--seed: seed must be in [0, 2**128)"),
-    ("diversity", "--seed", "-1", "--seed: seed must be in [0, 2**128)"),
     ("sweep", "--trials", "-3", "--trials: trials must be >= 0"),
     ("compare", "--trials", "-1", "--trials: trials must be >= 0"),
 ])
@@ -219,6 +218,32 @@ def test_overrides_are_range_checked(tmp_path, capsys, command, flag, value, mes
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_diversity_rejects_seed_flag(tmp_path, capsys):
+    # diversity runs no Monte Carlo, so a seed would change nothing
+    cfg = write_config(tmp_path, grid_start_db=25, grid_stop_db=40, grid_step_db=2.5)
+    assert main(["diversity", "--config", str(cfg), "--seed", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 5" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stop, step", [(100, 0.01), (30, 1e-320)])
+def test_sweep_rejects_oversized_grid(tmp_path, capsys, stop, step):
+    # 10,001 points, and a step whose point count overflows a float; both are
+    # rejected from the step alone, before any grid point exists
+    cfg = write_config(tmp_path, grid_stop_db=stop, grid_step_db=step)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"more than {cli.MAX_GRID_POINTS} points" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_parse_accepts_largest_grid(tmp_path):
+    cfg = parse_run_config(write_config(tmp_path, grid_stop_db=99.99, grid_step_db=0.01))
+    assert len(cfg.grid_db) == cli.MAX_GRID_POINTS
 
 
 def test_sweep_uses_cache_dir(tmp_path):

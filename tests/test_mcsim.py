@@ -471,10 +471,7 @@ def test_col_gram_matches_einsum():
 def test_top_eig_matches_lapack(k):
     for name, mats in _hermitian_cases(k).items():
         ref = np.linalg.eigvalsh(mats)[:, -1]
-        lam, vec = _top_eig(_as_batch(mats), want_vec=True)
-        lam_only, none = _top_eig(_as_batch(mats))
-        assert none is None
-        np.testing.assert_array_equal(lam, lam_only)
+        lam, vec = _top_eig(_as_batch(mats))
         assert np.all(np.abs(lam - ref) <= 1e-12 * np.abs(ref)), name
         v = vec.T
         assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0, atol=1e-14), name
@@ -492,7 +489,7 @@ def test_top_eig3_hands_only_close_top_pairs_to_lapack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     cases = _hermitian_cases(3)
-    _top_eig(_as_batch(cases["random"]), want_vec=True)
+    _top_eig(_as_batch(cases["random"]))
     assert calls == []
-    _top_eig(_as_batch(np.concatenate([cases["random"], cases["repeated_top"]])), want_vec=True)
+    _top_eig(_as_batch(np.concatenate([cases["random"], cases["repeated_top"]])))
     assert calls == [len(cases["repeated_top"])]

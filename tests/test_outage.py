@@ -15,6 +15,7 @@ from fdrelay.outage import (
     LinkBudget,
     OutageQuery,
     ZFMode,
+    _check_probability,
     diversity_order,
     e2e_outage,
     end_to_end_outage,
@@ -155,6 +156,13 @@ def test_link_outage_rejects_bogus_weights():
     bogus = CoeffTable(good.dims, good.norm_const, {(1, 1): F(3, 2)})
     with pytest.raises(InvalidProbabilityError):
         link_outage(bogus, 1.0, 1e6)  # weights sum to 1.5 -> "probability" 1.5
+
+
+def test_nan_does_not_leak_out_of_closed_form():
+    with pytest.raises(ValueError, match="gamma_t must be non-negative"):
+        link_outage(table(2, 3), 1.0, math.nan)
+    with pytest.raises(InvalidProbabilityError):
+        _check_probability(math.nan, "link outage")
 
 
 # -- pdf ---------------------------------------------------------------------------------

@@ -162,6 +162,15 @@ def test_reconstruction_identity_large():
     assert table.density() == max_eig_density(dims)
 
 
+def test_extract_6x6_exact():
+    # exact coverage at a >= 6, where elimination runs its longest; extraction
+    # raises NonzeroResidualError unless the residual vanishes
+    table = extract_coefficients(WishartDims(6, 6))
+    assert table.total() == 1
+    assert set(table.entries) == {(n, m) for n in range(1, 7) for m in range((12 - 2 * n) * n + 1)}
+    assert table.density() == max_eig_density(WishartDims(6, 6))
+
+
 # -- disk cache -------------------------------------------------------------------------
 
 
