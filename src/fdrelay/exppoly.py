@@ -18,8 +18,11 @@ dictionary lookup.
 
 from __future__ import annotations
 
+import heapq
+import math
+import operator
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Tuple, Union
+from typing import Callable, Iterator, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -129,16 +132,7 @@ class ExpPoly:
             return ExpPoly._raw({key: v * c for key, v in self._terms.items()})
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        out: dict[Key, Fraction] = {}
-        for (k1, l1), c1 in self._terms.items():
-            for (k2, l2), c2 in other._terms.items():
-                key = (k1 + k2, l1 + l2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return ExpPoly._raw(out)
+        return ExpPoly._raw(_nonzero(_mul_acc({}, self._terms, other._terms)))
 
     def __rmul__(self, other: Scalar) -> "ExpPoly":
         if isinstance(other, (int, Fraction)):
@@ -218,47 +212,87 @@ class ExpPoly:
         return obj
 
 
+def _mul_acc(out: dict, x: Mapping, y: Mapping, sign: int = 1) -> dict:
+    """out += sign * x * y over term dicts; may leave zero coefficients."""
+    for (k1, l1), c1 in x.items():
+        c1 = sign * c1
+        for (k2, l2), c2 in y.items():
+            key = (k1 + k2, l1 + l2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _nonzero(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c}
+
+
+def _int_div(a: int, b: int) -> int:
+    c, r = divmod(a, b)
+    if r:
+        raise InexactDivisionError("coefficient not divisible")
+    return c
+
+
+def _peel(rem: dict, q: Mapping, div: Callable) -> dict:
+    """Quotient of the term dict ``rem`` by nonzero ``q``; consumes ``rem``.
+
+    Peels the leading term (lexicographic (k, l) order) of the running
+    remainder against the leading term of q, dividing coefficients with
+    ``div``.  Every term a peel adds sits below the term it cancels, so the
+    leading keys fall strictly and a heap of keys finds the next one.
+    Raises InexactDivisionError if q does not divide the remainder.
+    """
+    qk, ql = qlead = max(q)
+    qc = q[qlead]
+    tail = [(k, l, c) for (k, l), c in q.items() if (k, l) != qlead]
+    heap = [(-k, -l) for k, l in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        nk, nl = heapq.heappop(heap)
+        c = rem.pop((-nk, -nl), 0)
+        if not c:
+            continue  # stale heap entry: the term cancelled after it was queued
+        dk, dl = -nk - qk, -nl - ql
+        if dk < 0 or dl < 0:
+            raise InexactDivisionError("leading term not divisible")
+        c = div(c, qc)
+        quot[(dk, dl)] = c
+        for k2, l2, c2 in tail:
+            key = (k2 + dk, l2 + dl)
+            t = c * c2
+            s = rem.get(key)
+            if s is None:
+                rem[key] = -t
+                heapq.heappush(heap, (-key[0], -key[1]))
+            elif s == t:
+                del rem[key]
+            else:
+                rem[key] = s - t
+    return quot
+
+
 def divexact(p: ExpPoly, q: ExpPoly) -> ExpPoly:
     """Exact division p / q in the exponential-polynomial ring.
 
-    Peels the leading term (lexicographic (k, l) order) of the running
-    remainder against the leading term of q.  Raises InexactDivisionError
-    if q does not divide p.  ``determinant`` divides each elimination step
-    by the previous pivot, which always divides exactly (Sylvester's
-    identity).
+    Rational leading-term peeling; raises InexactDivisionError if q does
+    not divide p.  ``determinant`` runs the same peeling on integer
+    coefficients, checking every coefficient quotient for a remainder.
     """
     if q.is_zero:
         raise ZeroDivisionError("division by zero ExpPoly")
-    if p.is_zero:
-        return ExpPoly.zero()
-    rem = dict(p._terms)
-    qk, ql = max(q._terms)
-    qc = q._terms[(qk, ql)]
-    quot: dict[Key, Fraction] = {}
-    while rem:
-        pk, pl = max(rem)
-        dk, dl = pk - qk, pl - ql
-        if dk < 0 or dl < 0:
-            raise InexactDivisionError("leading term not divisible")
-        c = rem[(pk, pl)] / qc
-        quot[(dk, dl)] = quot.get((dk, dl), Fraction(0)) + c
-        for (k2, l2), c2 in q._terms.items():
-            key = (k2 + dk, l2 + dl)
-            s = rem.get(key, Fraction(0)) - c * c2
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return ExpPoly({k: v for k, v in quot.items() if v})
+    return ExpPoly._raw(_peel(dict(p._terms), q._terms, operator.truediv))
 
 
 def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
     """Exact determinant of a square matrix of ExpPoly entries.
 
-    Fraction-free Bareiss elimination: each step's update divides exactly
-    (``divexact``) by the previous pivot, so entries stay in the ring.
-    Memoised cofactor expansion, whose term count grows combinatorially,
-    took 1.5-2.1x as long at 6x6 and 7x7 (best of 3 on a 2-vCPU host).
+    Scales each row by the LCM of its coefficient denominators, then runs
+    fraction-free Bareiss elimination on integer coefficients, in
+    Z[x, e^{-x}]: each step's update divides exactly by the previous pivot
+    (Sylvester's identity), and each coefficient division is checked to
+    leave no remainder.  The result is divided by the product of the row
+    scales once, at the end.
     """
     n = len(matrix)
     if n == 0:
@@ -269,11 +303,16 @@ def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
         for entry in row:
             if not isinstance(entry, ExpPoly):
                 raise TypeError("matrix entries must be ExpPoly")
-    a = [list(row) for row in matrix]
+    # unpack a set: a tuple grown from a generator, call after call, fragmented the heap
+    scales = [math.lcm(*{c.denominator for e in row for c in e._terms.values()}) for row in matrix]
+    a = [
+        [{key: c.numerator * (s // c.denominator) for key, c in e._terms.items()} for e in row]
+        for row, s in zip(matrix, scales)
+    ]
     sign = 1
-    prev = ExpPoly.one()
+    prev = {(0, 0): 1}
     for p in range(n - 1):
-        pivot_row = next((i for i in range(p, n) if not a[i][p].is_zero), None)
+        pivot_row = next((i for i in range(p, n) if a[i][p]), None)
         if pivot_row is None:
             return ExpPoly.zero()
         if pivot_row != p:
@@ -282,8 +321,8 @@ def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
         piv = a[p][p]
         for i in range(p + 1, n):
             for j in range(p + 1, n):
-                cross = a[i][j] * piv - a[i][p] * a[p][j]
-                a[i][j] = divexact(cross, prev) if p else cross  # step 0 divides by 1
+                cross = _nonzero(_mul_acc(_mul_acc({}, a[i][j], piv), a[i][p], a[p][j], -1))
+                a[i][j] = _peel(cross, prev, _int_div) if p else cross  # step 0 divides by 1
         prev = piv
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    scale = sign * math.prod(scales)
+    return ExpPoly._raw({key: Fraction(c, scale) for key, c in a[n - 1][n - 1].items()})

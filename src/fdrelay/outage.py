@@ -108,7 +108,7 @@ class OutageQuery:
         if (self.gamma_t is None) == (self.rate_r0 is None):
             raise ValueError("specify exactly one of gamma_t or rate_r0")
         value = self.gamma_t if self.gamma_t is not None else self.rate_r0
-        if value < 0:
+        if not value >= 0:
             raise ValueError("threshold must be non-negative")
 
     @classmethod
@@ -128,7 +128,7 @@ class OutageQuery:
 
 def rate_to_snr_threshold(r0: float) -> float:
     """SNR below which a rate-R0 transmission is in outage: 2**R0 - 1."""
-    if r0 < 0:
+    if not r0 >= 0:
         raise ValueError("rate threshold must be non-negative")
     return 2.0 ** r0 - 1.0
 
@@ -158,7 +158,7 @@ def regularized_lower_gamma(s: int, x: float) -> float:
     """
     if s < 1:
         raise ValueError("shape must be a positive integer")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be non-negative")
     if x == 0.0:
         return 0.0
@@ -217,7 +217,7 @@ def link_snr_pdf(table: CoeffTable, scale: float, x: float) -> float:
     """Density of the hop SNR at x (scaled signed Erlang mixture)."""
     if not scale > 0:
         raise ValueError("scale must be > 0")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be non-negative")
     parts = []
     for (n, m), w in table.entries.items():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -169,21 +170,20 @@ def extract_coefficients(dims: WishartDims) -> CoeffTable:
 def _extract_from_density(density: ExpPoly, dims: WishartDims) -> Dict[Key, Fraction]:
     """Peel the density into mixture weights; the residual must vanish.
 
-    Visits keys with n ascending and m descending, reads the stored
-    coefficient c at (n, m), records the weight c * m! / n^{m+1}, and
-    subtracts the term.  A nonzero residual after the sweep is a hard error.
+    Visits keys with n ascending and m descending, takes the coefficient c
+    at (n, m) out of the density's terms and records the weight
+    c * m! / n^{m+1}.  A term left at any key outside ``expected_keys`` is
+    a hard error.
     """
-    residual = density
+    residual = dict(density.items())
     entries: Dict[Key, Fraction] = {}
     for n, m in expected_keys(dims):
-        c = residual.coeff(n, m)
+        c = residual.pop((n, m), Fraction(0))
         entries[(n, m)] = c * Fraction(factorial(m), n ** (m + 1))
-        if c:
-            residual = residual - ExpPoly.term(n, m, c)
-    if not residual.is_zero:
+    if residual:
         raise NonzeroResidualError(
             f"extraction residual is nonzero for dims a={dims.a}, b={dims.b}: "
-            f"{residual!r}"
+            f"{ExpPoly(residual)!r}"
         )
     return entries
 
@@ -214,7 +214,11 @@ def _parse_frac(s: str) -> Fraction:
 
 
 def save_table(table: CoeffTable, path: str | Path) -> None:
-    """Write a table to disk losslessly (decimal rationals + checksum)."""
+    """Write a table to disk losslessly (decimal rationals + checksum).
+
+    The file is replaced atomically, so concurrent runs sharing a cache
+    directory never read half a table.
+    """
     payload = {
         "version": CACHE_VERSION,
         "a": table.dims.a,
@@ -228,7 +232,13 @@ def save_table(table: CoeffTable, path: str | Path) -> None:
     }
     body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    Path(path).write_text(body + "\n" + "sha256:" + digest + "\n", encoding="utf-8")
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        tmp.write_text(body + "\n" + "sha256:" + digest + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already unless the write or rename failed
 
 
 def load_table(path: str | Path) -> CoeffTable:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from det_reference import det_cofactor
-from fdrelay.exppoly import ExpPoly, InexactDivisionError, determinant, divexact
+from fdrelay.exppoly import ExpPoly, InexactDivisionError, _int_div, _peel, determinant, divexact
 from fdrelay.wishart import gram_entries, lower_gamma_poly, WishartDims
 
 
@@ -163,6 +163,41 @@ def test_bareiss_matches_cofactor(n, data):
     assert determinant(rows) == det_cofactor(rows)
 
 
+def test_det_rows_with_different_denominators():
+    # each row clears its own denominators (LCMs 6, 35 and 1), so the row
+    # scales differ and their product must be divided out exactly once
+    m = [
+        [ep({(0, 0): F(1, 2), (1, 1): F(-1, 3)}), ep({(1, 0): F(5, 6)}), ep({(0, 2): F(1, 3)})],
+        [ep({(0, 1): F(2, 5)}), ep({(0, 0): F(3, 7), (2, 0): F(1, 5)}), ep({(1, 1): F(-4, 35)})],
+        [ep({(1, 0): 2}), ep({(0, 0): -1, (0, 1): 3}), ep({(2, 2): 1})],
+    ]
+    assert determinant(m) == det_cofactor(m)
+
+
+def test_det_all_zero_row_vanishes():
+    zero, g = ExpPoly.zero(), lower_gamma_poly
+    for at in range(3):
+        m = [[g(i + j + 1) * F(1, i + 2) for j in range(3)] for i in range(3)]
+        m[at] = [zero] * 3
+        assert determinant(m).is_zero
+
+
+def test_det_5x5_rational_matches_cofactor():
+    rng = np.random.default_rng(5)
+    m = [
+        [
+            ExpPoly({
+                (int(k), int(l)): F(int(rng.integers(-9, 10)), int(rng.integers(1, 13)))
+                for k, l in rng.integers(0, 3, size=(3, 2))
+            })
+            for _ in range(5)
+        ]
+        for _ in range(5)
+    ]
+    assert len({c.denominator for row in m for e in row for _, c in e.items()}) > 3
+    assert determinant(m) == det_cofactor(m)
+
+
 def test_large_matrix_uses_bareiss_path():
     # 6x6 of incomplete-gamma entries against the cofactor reference
     m = [[lower_gamma_poly(i + j + 1) for j in range(6)] for i in range(6)]
@@ -185,6 +220,16 @@ def test_divexact_inverts_multiplication(p, q):
 def test_divexact_rejects_inexact():
     with pytest.raises(InexactDivisionError):
         divexact(ep({(0, 1): 1, (0, 0): 1}), ep({(1, 0): 1}))
+    # rational coefficients whose peel leaves a remainder no lead divides
+    with pytest.raises(InexactDivisionError):
+        divexact(ep({(0, 2): F(1, 2), (0, 0): F(1, 3)}), ep({(0, 1): F(1, 3), (0, 0): F(1, 7)}))
+
+
+def test_integer_peel_checks_each_coefficient():
+    # integer elimination divides coefficients exactly or not at all
+    assert _peel({(1, 1): 6, (0, 1): 4}, {(0, 1): 2}, _int_div) == {(1, 0): 3, (0, 0): 2}
+    with pytest.raises(InexactDivisionError):
+        _peel({(1, 1): 6, (0, 1): 3}, {(0, 1): 2}, _int_div)
 
 
 # -- ring axioms ---------------------------------------------------------------------

@@ -165,6 +165,19 @@ def test_nan_does_not_leak_out_of_closed_form():
         _check_probability(math.nan, "link outage")
 
 
+def test_nan_rejected_by_every_guard():
+    nan = math.nan
+    for call in (
+        lambda: regularized_lower_gamma(2, nan),
+        lambda: link_snr_pdf(table(2, 3), 1.0, nan),
+        lambda: rate_to_snr_threshold(nan),
+        lambda: OutageQuery.snr(nan),
+        lambda: OutageQuery.rate(nan),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
+
+
 # -- pdf ---------------------------------------------------------------------------------
 
 

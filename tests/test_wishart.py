@@ -1,5 +1,7 @@
 """Largest-eigenvalue laws: exact densities, weight extraction, disk cache."""
 
+import errno
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from scipy import integrate
 
+from fdrelay import wishart
 from fdrelay.exppoly import ExpPoly
 from fdrelay.wishart import (
     CacheChecksumError,
@@ -171,6 +174,46 @@ def test_extract_6x6_exact():
     assert table.density() == max_eig_density(WishartDims(6, 6))
 
 
+#: sha256 of the ``save_table`` file for the benchmark's 15 cold-table dims
+#: and every a <= 4, b <= 7, pinned from exact rational elimination.
+GOLDEN_TABLE_SHA256 = {
+    (1, 1): "7cbfa90b894bbddf37d92e3158e1057ccf16c1dfbd33d5e06344fa9df0e0cdff",
+    (1, 2): "42b61a2504261c16101146faab04b15cb1ec717bc7e83b8e21b41731ae7ef5e3",
+    (1, 3): "3270375646d691096993fb383d7227d918d3ea8ba2d90d94dd3fdb65cde40645",
+    (1, 4): "7fa44665ee46b2bc57411df9493411f1446c879868622f7d9cd6c59198f2fe0f",
+    (1, 5): "378ac50e774a1bc9c8e304edbfe92520573bd45540e9e128b7e739399700e121",
+    (1, 6): "25ddfd54282cf188bddbc7427bb95bf62473a903c10fdae66ffdd06ad99251c4",
+    (1, 7): "67c7bc8da34d8394a21d21e6bc9df5e18f8a6865ee3fbdd5dd1ba3ae2d71a47d",
+    (2, 2): "2169e8dcebc5e725c4d20319c0e55ec484032f5ebfc7a79af2fcb8e4ee2a57b1",
+    (2, 3): "9a637977a9c523f732217ad3b5331290f0cddcc1b3fee51a5c1b783522bf6d4b",
+    (2, 4): "2b139e3b07e3e1d8468df4ea5b3101f3fb98273b40737604c62e3231cabb2a99",
+    (2, 5): "1e9e7a5af773881efa051710168bfaea7e04b64ae083e6ec2c363e29948d3bd4",
+    (2, 6): "bd7dc174ddd965a3472b0f9cf32027a9edb03d8ae06510eccccc709697ef54c1",
+    (2, 7): "2de126abb8ea1c61c236a29f78e520c4f4c25deff25a060e96234f4bde29639d",
+    (3, 3): "e585fa1fc412116304ef45116e5986d4df673ee09e37830459dd1249ab043055",
+    (3, 4): "c2f0924f85e9fb7d5398fb3f1b6e110dc184c159d6519c26061bcbd7d7c8bf0d",
+    (3, 5): "f25eeb18555e719141440570a1b1adc25b6316df4ea94c504b56d37a73d98b9c",
+    (3, 6): "6663ecaf35cdfc94cf3beb06b079b51764712a1d9b24eaae98934deef6962c3f",
+    (3, 7): "e2a8152f27fb808a0876a874ebc507ad78adbfce17b4316833b1f73e1f513b18",
+    (4, 4): "ac45d589a17263c2d885afc05ad2613c65a666bda0ad42317656db56e7fe24ad",
+    (4, 5): "d7fa69c508dc4f7c715f6f1441d358a9ff4d93a5bdd002dec1145700fc02e8e8",
+    (4, 6): "bdf93f6c3e90ee01efe76cb00ba6c87b2b5dd9d9218575a3bd915f9703a6837e",
+    (4, 7): "c971706a82f0cfe679ccbcb526ff464962cc8de4e4b0d11e5e60bec3ad4123e6",
+    (5, 5): "74e92cb5adc00dd0ffe59dedc1e42ec90167979a41dc3a7ce25eaf290e407947",
+    (5, 7): "78e9e39cccf2a76e97e1ae551f05671e735f6d175ef64aaac75d5f40ce89e05a",
+    (6, 6): "c05489f5536793fdb57828500d42434bad3735a3c13136424c8c99d696b78f9c",
+    (6, 7): "9326f2a13051523ee3379c29d3c243f0bc81a79c39344e17f68c4e33bced8d51",
+    (7, 7): "fe290b7fa7f8f7e70ade24af4fb784ba4a0dfd6928905edebd1b863ed1028669",
+}
+
+
+def test_saved_table_bytes_are_pinned(tmp_path):
+    for (a, b), digest in GOLDEN_TABLE_SHA256.items():
+        path = tmp_path / f"coeff_a{a}_b{b}.txt"
+        save_table(extract_coefficients(WishartDims(a, b)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (a, b)
+
+
 # -- disk cache -------------------------------------------------------------------------
 
 
@@ -180,6 +223,29 @@ def test_cache_roundtrip(tmp_path):
     save_table(table, path)
     loaded = load_table(path)
     assert loaded == table
+
+
+def _half_write_then_full_disk(self, data, encoding=None):
+    with open(self, "w", encoding=encoding) as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_failed_save_keeps_old_table(tmp_path, monkeypatch, fail_at):
+    path = tmp_path / "coeff_a2_b3.txt"
+    save_table(extract_coefficients(WishartDims(2, 3)), path)
+    before = path.read_bytes()
+    if fail_at == "write":
+        monkeypatch.setattr(wishart.Path, "write_text", _half_write_then_full_disk)
+    else:
+        def no_replace(src, dst):
+            raise OSError(errno.EXDEV, "cross-device link")
+        monkeypatch.setattr(wishart.os, "replace", no_replace)
+    with pytest.raises(OSError):
+        save_table(extract_coefficients(WishartDims(3, 3)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_cache_version_mismatch(tmp_path):
