@@ -66,20 +66,11 @@ class ExpPoly:
     def one(cls) -> "ExpPoly":
         return cls({(0, 0): Fraction(1)})
 
-    @classmethod
-    def term(cls, k: int, l: int, coeff: Scalar) -> "ExpPoly":
-        """Single term coeff * x**l * exp(-k*x)."""
-        return cls({(k, l): Fraction(coeff)})
-
     # -- inspection -------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coeff(self, k: int, l: int) -> Fraction:
-        """Coefficient at key (k, l); zero if the term is absent."""
-        return self._terms.get((k, l), Fraction(0))
 
     def items(self) -> Iterator[tuple[Key, Fraction]]:
         """Terms in canonical order: k ascending, l descending within k."""
@@ -303,7 +294,6 @@ def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
         for entry in row:
             if not isinstance(entry, ExpPoly):
                 raise TypeError("matrix entries must be ExpPoly")
-    # unpack a set: a tuple grown from a generator, call after call, fragmented the heap
     scales = [math.lcm(*{c.denominator for e in row for c in e._terms.values()}) for row in matrix]
     a = [
         [{key: c.numerator * (s // c.denominator) for key, c in e._terms.items()} for e in row]

@@ -107,7 +107,7 @@ def test_density_properties(dims):
     assert np.all(density(grid) >= -1e-12)
     # CDF anchored at 0 and 1, with exactly one non-decaying term
     assert cdf(0.0) == pytest.approx(0.0, abs=1e-12)
-    assert cdf.coeff(0, 0) == 1
+    assert dict(cdf.items()).get((0, 0), 0) == 1
     assert all(k == (0, 0) for k, _ in cdf.items() if k[0] == 0)
     vals = cdf(grid)
     assert np.all(np.diff(vals) >= -1e-12)
@@ -145,7 +145,7 @@ def test_extract_keys_match_declared_ranges():
 
 def test_extract_rejects_foreign_density():
     # a term outside the declared index ranges must be a hard error
-    bogus = max_eig_density(WishartDims(2, 2)) + ExpPoly.term(3, 0, F(1, 7))
+    bogus = max_eig_density(WishartDims(2, 2)) + ExpPoly({(3, 0): F(1, 7)})
     with pytest.raises(NonzeroResidualError):
         _extract_from_density(bogus, WishartDims(2, 2))
 
