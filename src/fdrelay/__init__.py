@@ -21,9 +21,7 @@ from .outage import (
     end_to_end_outage,
     link_dims,
     link_outage,
-    link_snr_pdf,
     rate_to_snr_threshold,
-    regularized_lower_gamma,
 )
 from .wishart import (
     CoeffTable,

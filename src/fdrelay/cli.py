@@ -30,8 +30,10 @@ from .outage import (
     OutageQuery,
     ZFMode,
     diversity_order,
-    end_to_end_outage,
+    e2e_outage,
     link_dims,
+    link_outage,
+    rate_to_snr_threshold,
 )
 from .wishart import (
     CacheFormatError,
@@ -153,6 +155,17 @@ _CONFIG_TYPES = {
     "asymmetry_ratio": float,
 }
 
+#: Keys that enter the model through a linear value, and how they get it.
+#: Each linear value must be finite and > 0; the grid lies between its ends.
+_LINEAR_FORMS = {
+    "gamma_t_db": _db_to_linear,
+    "rate_r0": rate_to_snr_threshold,
+    "p_s_db": _db_to_linear,
+    "p_r_db": _db_to_linear,
+    "grid_start_db": _db_to_linear,
+    "grid_stop_db": _db_to_linear,
+}
+
 _REQUIRED_KEYS = ("n_s", "n_r1", "n_r2", "n_d", "mode",
                   "grid_start_db", "grid_stop_db", "grid_step_db")
 
@@ -190,6 +203,18 @@ def parse_run_config(path: str | Path) -> RunConfig:
     for key in ("alpha_sr", "alpha_rd"):
         if key in values and values[key] <= 0.0:
             raise ConfigError(f"{path}: {key} must be > 0, got {values[key]!r}")
+    for key, to_linear in _LINEAR_FORMS.items():
+        if key not in values:
+            continue
+        try:
+            linear = to_linear(values[key])
+        except OverflowError:
+            linear = math.inf
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {key}: {exc}") from exc
+        if not 0.0 < linear < math.inf:
+            raise ConfigError(f"{path}: {key} = {values[key]!r} is out of range: "
+                              "its linear value must be finite and > 0")
 
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
@@ -215,10 +240,7 @@ def parse_run_config(path: str | Path) -> RunConfig:
     if has_gamma:
         query = OutageQuery.snr(_db_to_linear(values["gamma_t_db"]))
     else:
-        try:
-            query = OutageQuery.rate(values["rate_r0"])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        query = OutageQuery.rate(values["rate_r0"])
 
     start, stop, step = (values["grid_start_db"], values["grid_stop_db"],
                          values["grid_step_db"])
@@ -312,15 +334,15 @@ def build_curve(run: RunConfig, cache_dir: Optional[Path] = None,
     if run.trials > 0:
         gains = mcsim.link_gain_samples(run.antenna, run.trials, run.seed)
 
+    budgets = [run.budget_at(g_db) for g_db in run.grid_db]
+    p_sr = link_outage(table_sr, [b.scale_sr for b in budgets], gamma_t)
+    p_rd = link_outage(table_rd, [b.scale_rd for b in budgets], gamma_t)
     rows = []
-    for g_db in run.grid_db:
-        budget = run.budget_at(g_db)
-        analytic = end_to_end_outage(run.antenna, budget, run.query,
-                                     tables=(table_sr, table_rd))
+    for g_db, budget, sr, rd in zip(run.grid_db, budgets, p_sr, p_rd):
         mc = ci_low = ci_high = None
         if gains is not None:
             mc, ci_low, ci_high = mcsim.outage_from_gains(gains, budget, gamma_t)
-        rows.append(CurveRow(g_db, analytic, mc, ci_low, ci_high))
+        rows.append(CurveRow(g_db, e2e_outage(sr, rd), mc, ci_low, ci_high))
     return OutageCurve(rows=tuple(rows))
 
 

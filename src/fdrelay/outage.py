@@ -16,9 +16,10 @@ operate in linear SNR units; dB conversions belong to the CLI boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, Optional, Tuple
+from typing import Literal, Optional, Sequence, Tuple
 
 from .wishart import CoeffTable, WishartDims, cached_table
 
@@ -149,83 +150,74 @@ def link_dims(config: AntennaConfig, link: Link) -> WishartDims:
     raise ValueError(f"unknown link {link!r}")
 
 
-def regularized_lower_gamma(s: int, x: float) -> float:
-    """P(s, x) = 1 - e^{-x} sum_{j<s} x^j/j! for integer s >= 1, x >= 0.
-
-    Two branches keep the result stable from the deep left tail up to
-    x ~ 1e4: below s+1 the Poisson-tail series (all terms positive), above
-    it the complement sum (also all positive, subtracted once from one).
-    """
-    if s < 1:
-        raise ValueError("shape must be a positive integer")
-    if not x >= 0:
-        raise ValueError("x must be non-negative")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1:
-        # P = e^{-x} * sum_{j>=s} x^j/j!, summed from j = s upward
-        term = math.exp(s * math.log(x) - x - math.lgamma(s + 1))
-        total = term
-        j = s + 1
-        while True:
-            term *= x / j
-            total += term
-            if term <= total * 1e-18:
-                return min(total, 1.0)
-            j += 1
-    # complement: Q = e^{-x} sum_{j<s} x^j/j!
-    e = math.exp(-x)
-    if e == 0.0:
-        return 1.0
-    term = e
-    q = e
-    for j in range(1, s):
-        term *= x / j
-        q += term
-    return 1.0 - q
-
-
 def _check_probability(value: float, context: str) -> float:
     if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
         raise InvalidProbabilityError(f"{context} = {value!r} is outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
 
-def link_outage(table: CoeffTable, scale: float, gamma_t: float) -> float:
-    """Per-hop outage probability at linear threshold gamma_t.
+def link_outage(table: CoeffTable, scale: float | Sequence[float],
+                gamma_t: float) -> float | list[float]:
+    """Per-hop outage at linear threshold gamma_t for one scale (a float) or
+    a whole curve of scales (a list, one probability per scale > 0).
 
-    ``scale`` is effective power times average SNR.  The mixture weights
-    alternate in sign, so the sum is accumulated with exact compensated
-    summation (math.fsum) to survive the cancellation at small thresholds.
+    ``scale`` is effective power times average SNR. P(s, y) for y = n * x,
+    x = gamma_t / scale, is the Poisson-tail series e^{-y} sum_{j>=s} y^j/j!
+    below y = s + 1 and one minus the complement e^{-y} sum_{j<s} y^j/j!
+    above it: positive terms only, stable from the deep left tail up to
+    y ~ 1e4. The weights alternate in sign, so each point is summed exactly
+    with math.fsum. Weight floats and lgamma(m + 2) are made once per call,
+    log(y) and exp(-y) once per rate n and point.
     """
-    if not scale > 0:
-        raise ValueError("scale must be > 0")
+    single = isinstance(scale, numbers.Real)
+    scales = (scale,) if single else tuple(scale)
+    for s in scales:
+        if not s > 0:
+            raise ValueError("scale must be > 0")
     if not gamma_t >= 0:
         raise ValueError("gamma_t must be non-negative")
     if gamma_t == 0:
-        return 0.0
-    x = gamma_t / scale
-    total = math.fsum(
-        float(w) * regularized_lower_gamma(m + 1, n * x)
-        for (n, m), w in table.entries.items()
-        if w
-    )
-    return _check_probability(total, "link outage")
-
-
-def link_snr_pdf(table: CoeffTable, scale: float, x: float) -> float:
-    """Density of the hop SNR at x (scaled signed Erlang mixture)."""
-    if not scale > 0:
-        raise ValueError("scale must be > 0")
-    if not x >= 0:
-        raise ValueError("x must be non-negative")
-    parts = []
+        return 0.0 if single else [0.0] * len(scales)
+    by_rate: dict[int, list[tuple[int, float, float]]] = {}
     for (n, m), w in table.entries.items():
-        if not w:
+        if w:
+            by_rate.setdefault(n, []).append((m + 1, float(w), math.lgamma(m + 2)))
+    outages = []
+    for s in scales:
+        x = gamma_t / s
+        if x != x:  # inf / inf
+            raise ValueError("gamma_t / scale is not a number")
+        if x == 0.0:  # gamma_t / scale underflowed: every P is 0
+            outages.append(0.0)
             continue
-        rate = n / scale
-        parts.append(float(w) / math.factorial(m) * rate ** (m + 1) * x ** m * math.exp(-rate * x))
-    return math.fsum(parts)
+        parts = []
+        for n, terms in by_rate.items():
+            y = n * x
+            log_y = math.log(y)
+            e = math.exp(-y)
+            for shape, w, lgamma_s1 in terms:
+                if y < shape + 1:
+                    term = math.exp(shape * log_y - y - lgamma_s1)
+                    total = term
+                    j = shape + 1
+                    while True:
+                        term *= y / j
+                        total += term
+                        if term <= total * 1e-18:
+                            break
+                        j += 1
+                    p = min(total, 1.0)
+                elif e == 0.0:
+                    p = 1.0
+                else:
+                    term = q = e
+                    for j in range(1, shape):
+                        term *= y / j
+                        q += term
+                    p = 1.0 - q
+                parts.append(w * p)
+        outages.append(_check_probability(math.fsum(parts), "link outage"))
+    return outages[0] if single else outages
 
 
 def e2e_outage(p_sr: float, p_rd: float) -> float:
@@ -244,23 +236,9 @@ def diversity_order(config: AntennaConfig) -> int:
     return min(n_d * (n_r2 - 1), n_s * n_r1)
 
 
-def end_to_end_outage(
-    config: AntennaConfig,
-    budget: LinkBudget,
-    query: OutageQuery,
-    tables: Optional[Tuple[CoeffTable, CoeffTable]] = None,
-) -> float:
-    """Closed-form end-to-end outage probability.
-
-    ``tables`` may supply precomputed (SR, RD) weight tables (e.g. from the
-    disk cache); otherwise they are computed and memoised in-process.
-    """
+def end_to_end_outage(config: AntennaConfig, budget: LinkBudget, query: OutageQuery) -> float:
+    """Closed-form end-to-end outage at one budget, from in-process tables."""
     gamma_t = query.snr_threshold()
-    if tables is None:
-        t_sr = cached_table(link_dims(config, "sr"))
-        t_rd = cached_table(link_dims(config, "rd"))
-    else:
-        t_sr, t_rd = tables
-    p_sr = link_outage(t_sr, budget.scale_sr, gamma_t)
-    p_rd = link_outage(t_rd, budget.scale_rd, gamma_t)
+    p_sr = link_outage(cached_table(link_dims(config, "sr")), budget.scale_sr, gamma_t)
+    p_rd = link_outage(cached_table(link_dims(config, "rd")), budget.scale_rd, gamma_t)
     return e2e_outage(p_sr, p_rd)

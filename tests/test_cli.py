@@ -1,5 +1,6 @@
 """Command-line surfaces: config parsing, subcommands, CSV contract."""
 
+import hashlib
 import subprocess
 import sys
 from functools import partial
@@ -15,6 +16,7 @@ from fdrelay.cli import (
     main,
     parse_run_config,
 )
+from fdrelay.outage import AntennaConfig, OutageQuery, ZFMode
 
 
 def write_config(tmp_path, name="run.cfg", **overrides):
@@ -148,6 +150,33 @@ def test_sweep_byte_identical_reruns(tmp_path):
     assert (tmp_path / "out.csv").read_bytes() == first
 
 
+#: sha256 of analytic-only ``write_csv`` bytes on a 0-40 dB, 0.5 dB grid,
+#: pinned from the per-point closed form: (antennas, mode, asymmetry, ratio,
+#: gamma_t_db) -> digest.
+GOLDEN_CSV_SHA256 = {
+    ((2, 3, 2, 1), "receive", "rd_dominant", 1.5, 5.0):
+        "7c1cd18873977d1924dc11045e731de42c0a01d504665b0814b79ff1d4d4b065",
+    ((3, 4, 3, 3), "receive", "symmetric", None, 10.0):
+        "31b3240171289e2bcedaac0df50970b6876025aec6e478c8d4ca59d9dbe55096",
+    ((4, 5, 4, 4), "transmit", "symmetric", None, 10.0):
+        "df067b7d868ab5284883606fa2656591a80755464c585112ac52a16012fe97eb",
+}
+
+
+def test_analytic_csv_bytes_are_pinned(tmp_path):
+    for (antennas, mode, asymmetry, ratio, gamma_t_db), digest in GOLDEN_CSV_SHA256.items():
+        run = cli.RunConfig(
+            antenna=AntennaConfig(*antennas, ZFMode(mode)),
+            query=OutageQuery.snr(10.0 ** (gamma_t_db / 10.0)),
+            grid_db=tuple(0.5 * i for i in range(81)), p_s=1.0, p_r=1.0,
+            alpha_sr=1.0, alpha_rd=1.0, trials=0, seed=0, out_csv=None,
+            asymmetry=asymmetry, asymmetry_ratio=ratio,
+        )
+        path = tmp_path / "curve.csv"
+        cli.write_csv(build_curve(run), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, antennas
+
+
 def test_sweep_rate_threshold_equivalent(tmp_path):
     # R0 = 1 bit/s/Hz <=> threshold 2^1 - 1 = 1 = 0 dB, exactly representable
     snr_cfg = write_config(tmp_path, name="snr.cfg", gamma_t_db=0,
@@ -198,6 +227,30 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys, key, value):
 ])
 def test_sweep_rejects_out_of_range_values(tmp_path, capsys, key, value, message):
     cfg = write_config(tmp_path, **{key: value})
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("rate_r0", "2000", "rate_r0 = 2000.0 is out of range"),
+    ("rate_r0", "0", "rate_r0 = 0.0 is out of range"),
+    ("rate_r0", "-1", "rate_r0: rate threshold must be non-negative"),
+    ("gamma_t_db", "4000", "gamma_t_db = 4000.0 is out of range"),
+    ("gamma_t_db", "-4000", "gamma_t_db = -4000.0 is out of range"),
+    ("p_s_db", "4000", "p_s_db = 4000.0 is out of range"),
+    ("p_s_db", "-4000", "p_s_db = -4000.0 is out of range"),
+    ("p_r_db", "4000", "p_r_db = 4000.0 is out of range"),
+    ("grid_start_db", "-4000", "grid_start_db = -4000.0 is out of range"),
+    ("grid_stop_db", "4000", "grid_stop_db = 4000.0 is out of range"),
+])
+def test_sweep_rejects_values_outside_the_linear_range(tmp_path, capsys, key, value, message):
+    # each linear value (10**(dB/10), or 2**R0 - 1) must be finite and > 0;
+    # overflow, underflow to 0 and a zero threshold all exit 2
+    threshold = {"gamma_t_db": None} if key == "rate_r0" else {}
+    cfg = write_config(tmp_path, **threshold, **{key: value})
     assert main(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert message in err

@@ -21,11 +21,10 @@ from fdrelay.outage import (
     end_to_end_outage,
     link_dims,
     link_outage,
-    link_snr_pdf,
     rate_to_snr_threshold,
-    regularized_lower_gamma,
 )
 from fdrelay.wishart import CoeffTable, WishartDims, cached_table
+from outage_reference import link_outage_at, link_snr_pdf, regularized_lower_gamma
 
 
 def table(a, b):
@@ -158,6 +157,67 @@ def test_link_outage_rejects_bogus_weights():
         link_outage(bogus, 1.0, 1e6)  # weights sum to 1.5 -> "probability" 1.5
 
 
+def _reference_curve(t, scales, gamma_t):
+    """Per-point reference values, or InvalidProbabilityError where it raises."""
+    values = []
+    for scale in scales:
+        try:
+            values.append(link_outage_at(t, scale, gamma_t))
+        except InvalidProbabilityError:
+            values.append(InvalidProbabilityError)
+    return values
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for b in range(1, 8) for a in range(1, b + 1)])
+def test_whole_curve_is_bitwise_per_point_reference(a, b):
+    t = table(a, b)
+    rng = np.random.default_rng(100 * a + b)
+    curves = {3.7: [3.7 / x for x in 10.0 ** rng.uniform(-8.0, 4.0, 300)]}
+    # scales 1 and 0.5 make x = gamma_t / scale exact: integer x puts
+    # y = n * x exactly on the branch point y = s + 1 of many terms, and
+    # from y = 746 on exp(-y) underflows to 0
+    edges = [float(k) for k in range(1, 2 * max(m for _, m in t.entries) + 4)]
+    edges += [745.0, 746.0, 750.0, 1e4, 1e6]
+    assert any(n * x == m + 2 for (n, m) in t.entries for x in edges)
+    curves.update((x, [1.0, 0.5]) for x in edges)
+    raised = 0
+    for gamma_t, scales in curves.items():
+        refs = _reference_curve(t, scales, gamma_t)
+        good = [(s, r) for s, r in zip(scales, refs) if r is not InvalidProbabilityError]
+        curve = link_outage(t, [s for s, _ in good], gamma_t)
+        assert [v.hex() for v in curve] == [r.hex() for _, r in good], gamma_t
+        for s, r in zip(scales, refs):
+            if r is InvalidProbabilityError:
+                raised += 1
+                with pytest.raises(InvalidProbabilityError):
+                    link_outage(t, s, gamma_t)
+                with pytest.raises(InvalidProbabilityError):
+                    link_outage(t, [1.0, s], gamma_t)
+            else:
+                assert link_outage(t, s, gamma_t).hex() == r.hex()
+    if (a, b) == (7, 7):
+        # cancellation at small x leaves [0, 1] here, at the same inputs
+        assert raised > 0
+
+
+def test_whole_curve_edges():
+    t = table(3, 4)
+    # gamma_t / scale underflows to 0.0: the outage is 0, as per point
+    assert link_outage(t, 1e300, 1e-300) == 0.0 == link_outage_at(t, 1e300, 1e-300)
+    assert link_outage(t, [1e300, 2.0], 1e-300) == [0.0, link_outage_at(t, 2.0, 1e-300)]
+    assert link_outage(t, [2.0, 5.0], 0.0) == [0.0, 0.0]
+    assert link_outage(t, [1.0, 1e300], math.inf) == [1.0, 1.0] == [
+        link_outage_at(t, 1.0, math.inf), link_outage_at(t, 1e300, math.inf)]
+    assert link_outage(t, [], 1.0) == []
+    assert link_outage(t, (s for s in (2.0, 5.0)), 1.0) == [
+        link_outage_at(t, 2.0, 1.0), link_outage_at(t, 5.0, 1.0)]
+    for bad in ([1.0, math.nan], [1.0, 0.0], [-1.0], math.nan, 0.0, -2.0):
+        with pytest.raises(ValueError, match="scale must be > 0"):
+            link_outage(t, bad, 1.0)
+    with pytest.raises(ValueError):  # inf / inf is not a point
+        link_outage(t, [1.0, math.inf], math.inf)
+
+
 def test_nan_does_not_leak_out_of_closed_form():
     with pytest.raises(ValueError, match="gamma_t must be non-negative"):
         link_outage(table(2, 3), 1.0, math.nan)
@@ -168,8 +228,6 @@ def test_nan_does_not_leak_out_of_closed_form():
 def test_nan_rejected_by_every_guard():
     nan = math.nan
     for call in (
-        lambda: regularized_lower_gamma(2, nan),
-        lambda: link_snr_pdf(table(2, 3), 1.0, nan),
         lambda: rate_to_snr_threshold(nan),
         lambda: OutageQuery.snr(nan),
         lambda: OutageQuery.rate(nan),
