@@ -53,6 +53,10 @@ SLOPE_TOLERANCE = 0.3
 #: Finer curves show nothing new, and every point costs a closed-form
 #: evaluation and a pass over all Monte Carlo gains.
 MAX_GRID_POINTS = 10_000
+#: Most Monte Carlo trials a run may ask for.  Their gains take 4 GiB, two
+#: floats per trial, and (2,3,2,2) draws them in about 3 minutes on 2 CPUs;
+#: that resolves an outage of 1e-6 to about +-12 % at 95 %.
+MAX_TRIALS = 2 ** 28
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -124,6 +128,8 @@ def _db_to_linear(db: float) -> float:
 def _check_trials(trials: int, where: str) -> int:
     if trials < 0:
         raise ConfigError(f"{where}: trials must be >= 0, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"{where}: trials must be <= 2**28 = {MAX_TRIALS}, got {trials}")
     return trials
 
 
@@ -334,14 +340,17 @@ def build_curve(run: RunConfig, cache_dir: Optional[Path] = None,
     if run.trials > 0:
         gains = mcsim.link_gain_samples(run.antenna, run.trials, run.seed)
 
-    budgets = [run.budget_at(g_db) for g_db in run.grid_db]
-    p_sr = link_outage(table_sr, [b.scale_sr for b in budgets], gamma_t)
-    p_rd = link_outage(table_rd, [b.scale_rd for b in budgets], gamma_t)
+    # a point's link scales are these effective powers times its average SNR
+    base = run.budget_at(0.0)
+    p_s, p_r = base.effective_p_s, base.effective_p_r
+    gbars = [_db_to_linear(g_db) for g_db in run.grid_db]
+    p_sr = link_outage(table_sr, [p_s * g for g in gbars], gamma_t)
+    p_rd = link_outage(table_rd, [p_r * g for g in gbars], gamma_t)
     rows = []
-    for g_db, budget, sr, rd in zip(run.grid_db, budgets, p_sr, p_rd):
+    for g_db, sr, rd in zip(run.grid_db, p_sr, p_rd):
         mc = ci_low = ci_high = None
         if gains is not None:
-            mc, ci_low, ci_high = mcsim.outage_from_gains(gains, budget, gamma_t)
+            mc, ci_low, ci_high = mcsim.outage_from_gains(gains, run.budget_at(g_db), gamma_t)
         rows.append(CurveRow(g_db, e2e_outage(sr, rd), mc, ci_low, ci_high))
     return OutageCurve(rows=tuple(rows))
 
@@ -522,6 +531,13 @@ def main(argv=None) -> int:
     except (NonzeroResidualError, InvalidProbabilityError, CacheFormatError,
             mcsim.DegenerateChannelError, OSError) as exc:
         print(f"fdrelay: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except RuntimeError as exc:
+        from concurrent.futures import BrokenExecutor  # loaded already if a pool broke
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        print(f"fdrelay: a Monte Carlo worker process failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

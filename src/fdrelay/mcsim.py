@@ -7,9 +7,12 @@ per-hop gains; ``outage_from_gains`` turns them into an outage estimate with
 a Wilson confidence interval.
 
 Randomness uses the counter-based Philox generator with one jumped
-substream per fixed-size block of trials, so the multiset of trials for a
-given seed is independent of how blocks are scheduled; runs are exactly
-reproducible.
+substream per fixed-size block of trials, so each block's gains depend only
+on (seed, block) and runs are exactly reproducible.  A run of two or more
+blocks sends them to a pool of worker processes, forked once per process
+with one worker per usable CPU, and puts the results back in block order;
+its gains are bitwise those of running every block inline, as a one-block
+run, a one-CPU host or a platform without ``fork`` does.
 
 One batched kernel, ``_zf_trials``, is the only simulator: it serves both ZF
 modes, and a single trial is a batch of one.  It takes each block SUB_BATCH
@@ -20,14 +23,18 @@ configurations) in closed form, and fails on any trial whose null
 
 from __future__ import annotations
 
+import atexit
 import logging
 import math
+import os
+import threading
+import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .outage import AntennaConfig, LinkBudget, ZFMode
-from .wishart import WishartDims
 
 log = logging.getLogger(__name__)
 
@@ -277,22 +284,106 @@ def _block_gains(rng: np.random.Generator, config: AntennaConfig, n: int):
     return lam_sr, lam_rd, redraws
 
 
+def _seeded_block_gains(seed: int, block: int, config: AntennaConfig, n: int):
+    """``_block_gains`` of one block's own substream; what a worker runs."""
+    return _block_gains(make_rng(seed, block), config, n)
+
+
+#: This process's pool of block workers; made by ``_block_pool`` on first
+#: use and kept, because forking the workers costs about as much as a block.
+_pool = None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _block_pool():
+    """The process's pool of forked block workers, one per usable CPU, or
+    None where blocks run inline: on one CPU or without the fork start method.
+
+    Fork is asked for by name because the platform default may change; the
+    workers start from the parent's imported modules, so starting them costs
+    no import.
+    """
+    global _pool
+    if _pool is None and _usable_cpus() > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            _pool = ProcessPoolExecutor(_usable_cpus(),
+                                        mp_context=multiprocessing.get_context("fork"),
+                                        initializer=_exit_with_parent,
+                                        initargs=(os.getpid(),))
+    return _pool
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker initializer.  A parent that is killed never shuts its pool
+    down, and its workers would wait for work forever, so each worker exits
+    within a second of its parent's death."""
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the pool down and drop it.  At exit this runs before module
+    teardown, so the executor is collected while the modules it needs exist."""
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
+def _forget_pool() -> None:
+    """At-fork hook: a child has none of its parent's pool threads, so a run
+    there would wait forever on the inherited pool."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_blocks(seed: int, config: AntennaConfig, sizes: list[int]) -> list:
+    """``_seeded_block_gains`` of every block, in block order."""
+    args = (repeat(seed), range(len(sizes)), repeat(config), sizes)
+    pool = _block_pool() if len(sizes) > 1 else None
+    if pool is None:
+        return list(map(_seeded_block_gains, *args))
+    from concurrent.futures import BrokenExecutor
+
+    try:
+        return list(pool.map(_seeded_block_gains, *args))
+    except BrokenExecutor:
+        _close_pool()  # a broken pool takes no more work; the next run forks anew
+        raise
+
+
 def link_gain_samples(config: AntennaConfig, trials: int, seed: int):
     """Unit-scale (SR, RD) gain samples for ``trials`` independent fades.
 
-    Deterministic in (config, trials, seed).  Multiply by the link scales
-    from a LinkBudget to obtain instantaneous SNR samples.
+    Deterministic in (config, trials, seed), whatever the CPU count.
+    Multiply by the link scales from a LinkBudget to obtain instantaneous
+    SNR samples.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    parts_sr, parts_rd = [], []
-    redraws = 0
-    for block, start in enumerate(range(0, trials, BLOCK_SIZE)):
-        n = min(BLOCK_SIZE, trials - start)
-        ls, lr, rd = _block_gains(make_rng(seed, block), config, n)
-        parts_sr.append(ls)
-        parts_rd.append(lr)
-        redraws += rd
+    sizes = [min(BLOCK_SIZE, trials - start) for start in range(0, trials, BLOCK_SIZE)]
+    parts_sr, parts_rd, block_redraws = zip(*_run_blocks(seed, config, sizes))
+    redraws = sum(block_redraws)
     if redraws:
         log.warning("redrew %d degenerate trial(s) of %d", redraws, trials)
         if redraws > trials * MAX_REDRAW_FRACTION:
@@ -325,36 +416,17 @@ def outage_from_gains(gains, budget: LinkBudget, gamma_t: float,
     A trial fails iff either hop's SNR is below ``gamma_t``, which is the
     same event as min(snr_sr, snr_rd) < gamma_t.  Returns
     ``(p_hat, ci_low, ci_high)`` with a Wilson interval at quantile ``z``.
+
+    Counts SUB_BATCH trials at a time: temporaries of a whole run are large
+    enough for malloc to map fresh pages for each one, and in a process
+    whose blocks ran in workers nothing has raised that threshold, so a
+    whole-run pass spends most of its time faulting pages in.
     """
     lam_sr, lam_rd = gains
-    snr_min = np.minimum(budget.scale_sr * lam_sr, budget.scale_rd * lam_rd)
-    failures = int(np.count_nonzero(snr_min < gamma_t))
-    trials = snr_min.size
+    failures = 0
+    for start in range(0, lam_sr.size, SUB_BATCH):
+        part = slice(start, start + SUB_BATCH)
+        snr_min = np.minimum(budget.scale_sr * lam_sr[part], budget.scale_rd * lam_rd[part])
+        failures += int(np.count_nonzero(snr_min < gamma_t))
+    trials = lam_sr.size
     return (failures / trials, *wilson_interval(failures, trials, z))
-
-
-def sample_wishart_max_eig(
-    rng: np.random.Generator, dims: WishartDims, trials: int
-) -> np.ndarray:
-    """Largest eigenvalues of ``trials`` direct a x b complex Wishart draws."""
-    h = _randn_c(rng, (trials, dims.b, dims.a))
-    return _top_eig(_col_gram(_soa(h)))[0]
-
-
-def projected_max_eig_samples(
-    rng: np.random.Generator, rows: int, cols: int, trials: int, aux: int = 2
-) -> np.ndarray:
-    """Largest eigenvalue of a rows x cols channel Gram projected off an
-    independent random direction (the image of a second Gaussian channel).
-
-    Distributionally this should match a direct (rows-1) x cols Wishart
-    largest eigenvalue; the simulator's ZF constructions rely on exactly
-    this reduction.
-    """
-    h = _randn_c(rng, (trials, rows, cols))
-    mix = _randn_c(rng, (trials, rows, aux))
-    x = _randn_c(rng, (trials, aux))
-    w = _matvec(_soa(mix), x.T)
-    nrm = np.linalg.norm(w, axis=0)
-    projected = _project_off(_soa(h), w / np.where(nrm < DEGENERATE_TOL, 1.0, nrm))
-    return _top_eig(_col_gram(projected))[0]

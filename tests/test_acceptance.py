@@ -17,7 +17,6 @@ from fdrelay.mcsim import (
     link_gain_samples,
     make_rng,
     outage_from_gains,
-    sample_wishart_max_eig,
 )
 from fdrelay.outage import (
     AntennaConfig,
@@ -28,6 +27,7 @@ from fdrelay.outage import (
     end_to_end_outage,
 )
 from fdrelay.wishart import WishartDims, extract_coefficients, max_eig_cdf
+from eig_samplers import sample_wishart_max_eig
 from zf_reference import (
     draw_trials,
     loopback_direction,

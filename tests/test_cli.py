@@ -1,6 +1,7 @@
 """Command-line surfaces: config parsing, subcommands, CSV contract."""
 
 import hashlib
+import multiprocessing
 import subprocess
 import sys
 from functools import partial
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fdrelay import cli
+from fdrelay import cli, mcsim
 from fdrelay.cli import (
     ConfigError,
     build_curve,
@@ -163,18 +164,45 @@ GOLDEN_CSV_SHA256 = {
 }
 
 
+def _curve_sha256(tmp_path, antennas, mode, asymmetry, ratio, gamma_t_db, grid_db,
+                  trials, seed):
+    run = cli.RunConfig(
+        antenna=AntennaConfig(*antennas, ZFMode(mode)),
+        query=OutageQuery.snr(10.0 ** (gamma_t_db / 10.0)),
+        grid_db=grid_db, p_s=1.0, p_r=1.0, alpha_sr=1.0, alpha_rd=1.0,
+        trials=trials, seed=seed, out_csv=None,
+        asymmetry=asymmetry, asymmetry_ratio=ratio,
+    )
+    path = tmp_path / "curve.csv"
+    cli.write_csv(build_curve(run), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def test_analytic_csv_bytes_are_pinned(tmp_path):
-    for (antennas, mode, asymmetry, ratio, gamma_t_db), digest in GOLDEN_CSV_SHA256.items():
-        run = cli.RunConfig(
-            antenna=AntennaConfig(*antennas, ZFMode(mode)),
-            query=OutageQuery.snr(10.0 ** (gamma_t_db / 10.0)),
-            grid_db=tuple(0.5 * i for i in range(81)), p_s=1.0, p_r=1.0,
-            alpha_sr=1.0, alpha_rd=1.0, trials=0, seed=0, out_csv=None,
-            asymmetry=asymmetry, asymmetry_ratio=ratio,
-        )
-        path = tmp_path / "curve.csv"
-        cli.write_csv(build_curve(run), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, antennas
+    for spec, digest in GOLDEN_CSV_SHA256.items():
+        grid = tuple(0.5 * i for i in range(81))
+        assert _curve_sha256(tmp_path, *spec, grid, trials=0, seed=0) == digest, spec
+
+
+#: sha256 of ``write_csv`` bytes with Monte Carlo columns, 4 blocks of trials
+#: at seed 5 on a 0-30 dB, 2 dB grid with a 10 dB threshold, pinned from
+#: sampling the blocks one after another in one process: (antennas, mode) ->
+#: digest.
+GOLDEN_MC_CSV_SHA256 = {
+    ((2, 3, 2, 2), "receive"):
+        "c4599723e714d09de074d31c8f5d2f2183142a0e6939a70b81a91423e86a5089",
+    ((2, 2, 3, 2), "transmit"):
+        "e5eef7018efc88a600442a4bbfe280b2bd827b64976b5f5cd3c90f74feff211c",
+    ((3, 4, 3, 3), "receive"):
+        "dbe5c3e2a75095a8e53c584f41d3ed236065ef1a2c1204a059d2c1bd3c9b227e",
+}
+
+
+def test_mc_csv_bytes_are_pinned(tmp_path):
+    for (antennas, mode), digest in GOLDEN_MC_CSV_SHA256.items():
+        grid = tuple(2.0 * i for i in range(16))
+        assert _curve_sha256(tmp_path, antennas, mode, "symmetric", None, 10.0, grid,
+                             trials=4 * mcsim.BLOCK_SIZE, seed=5) == digest, antennas
 
 
 def test_sweep_rate_threshold_equivalent(tmp_path):
@@ -224,6 +252,7 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys, key, value):
     ("seed", "-1", "seed must be in [0, 2**128)"),
     ("seed", str(2 ** 128), "seed must be in [0, 2**128)"),
     ("trials", "-3", "trials must be >= 0"),
+    ("trials", str(2 ** 28 + 1), "trials must be <= 2**28"),
 ])
 def test_sweep_rejects_out_of_range_values(tmp_path, capsys, key, value, message):
     cfg = write_config(tmp_path, **{key: value})
@@ -263,6 +292,7 @@ def test_sweep_rejects_values_outside_the_linear_range(tmp_path, capsys, key, va
     ("compare", "--seed", str(2 ** 128), "--seed: seed must be in [0, 2**128)"),
     ("sweep", "--trials", "-3", "--trials: trials must be >= 0"),
     ("compare", "--trials", "-1", "--trials: trials must be >= 0"),
+    ("sweep", "--trials", str(2 ** 28 + 1), "--trials: trials must be <= 2**28"),
 ])
 def test_overrides_are_range_checked(tmp_path, capsys, command, flag, value, message):
     cfg = write_config(tmp_path, grid_start_db=25, grid_stop_db=40, grid_step_db=2.5)
@@ -297,6 +327,11 @@ def test_sweep_rejects_oversized_grid(tmp_path, capsys, stop, step):
 def test_parse_accepts_largest_grid(tmp_path):
     cfg = parse_run_config(write_config(tmp_path, grid_stop_db=99.99, grid_step_db=0.01))
     assert len(cfg.grid_db) == cli.MAX_GRID_POINTS
+
+
+def test_parse_accepts_most_trials(tmp_path):
+    # parse only: a run of this size takes minutes
+    assert parse_run_config(write_config(tmp_path, trials=2 ** 28)).trials == cli.MAX_TRIALS
 
 
 def test_sweep_uses_cache_dir(tmp_path):
@@ -339,6 +374,41 @@ def test_compare_trials_and_seed_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=0, grid_stop_db=10)
     assert main(["compare", "--config", str(cfg), "--trials", "15000",
                  "--seed", "99"]) == 0
+
+
+POOLED = mcsim._usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+def test_compare_with_worker_processes_exits_cleanly(tmp_path):
+    cfg = write_config(tmp_path, trials=2 * mcsim.BLOCK_SIZE + 1, seed=4, grid_stop_db=15)
+    result = subprocess.run([sys.executable, "-m", "fdrelay", "compare", "--config", str(cfg)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "compare: OK" in result.stdout
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+# Forked workers inherit the patch, so it runs in a fresh interpreter.
+KILL_THE_WORKERS = """
+import os, signal, sys
+from fdrelay import cli, mcsim
+
+def killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+mcsim._block_gains = killed
+sys.exit(cli.main(["compare", "--config", sys.argv[1]]))
+"""
+
+
+@pytest.mark.skipif(not POOLED, reason="blocks run inline on this host")
+def test_compare_reports_a_killed_worker(tmp_path):
+    cfg = write_config(tmp_path, trials=2 * mcsim.BLOCK_SIZE, grid_stop_db=15)
+    result = subprocess.run([sys.executable, "-c", KILL_THE_WORKERS, str(cfg)],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert "fdrelay: a Monte Carlo worker process failed" in result.stderr
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
 # -- diversity subcommand -----------------------------------------------------------------

@@ -2,6 +2,13 @@
 
 import logging
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +28,11 @@ from fdrelay.mcsim import (
     link_gain_samples,
     make_rng,
     outage_from_gains,
-    sample_wishart_max_eig,
-    projected_max_eig_samples,
     wilson_interval,
 )
 from fdrelay.outage import AntennaConfig, LinkBudget, OutageQuery, ZFMode, end_to_end_outage
 from fdrelay.wishart import WishartDims
+from eig_samplers import projected_max_eig_samples, sample_wishart_max_eig
 from zf_reference import (
     draw_trials,
     loopback_direction,
@@ -368,6 +374,121 @@ def test_gain_kernel_checks_zf_null(monkeypatch, mode):
     monkeypatch.setattr(mcsim, "_project_off", leaky)
     with pytest.raises(DegenerateChannelError, match="ZF null"):
         link_gain_samples(AntennaConfig(2, 3, 3, 2, mode), 100, seed=3)
+
+
+#: Whether runs of two or more blocks go to worker processes on this host.
+POOLED = mcsim._usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+@pytest.mark.parametrize("antennas, mode, trials", [
+    ((2, 3, 2, 2), ZFMode.RECEIVE, 3 * BLOCK_SIZE + 5),
+    ((2, 2, 3, 2), ZFMode.TRANSMIT, 3 * BLOCK_SIZE + 5),
+    ((4, 5, 4, 4), ZFMode.RECEIVE, 2 * BLOCK_SIZE),  # LAPACK inside the workers
+])
+def test_pooled_gains_are_bitwise_inline_blocks(antennas, mode, trials):
+    cfg = AntennaConfig(*antennas, mode)
+    lam_sr, lam_rd = link_gain_samples(cfg, trials, seed=37)
+    assert (mcsim._pool is not None) == POOLED
+    blocks = [mcsim._block_gains(make_rng(37, block), cfg, min(BLOCK_SIZE, trials - start))
+              for block, start in enumerate(range(0, trials, BLOCK_SIZE))]
+    assert lam_sr.tobytes() == np.concatenate([b[0] for b in blocks]).tobytes()
+    assert lam_rd.tobytes() == np.concatenate([b[1] for b in blocks]).tobytes()
+
+
+# Forked workers keep the module state of the moment the pool starts, so a
+# patch of mcsim that must reach them runs in a fresh interpreter.
+LEAKY_PROJECTION = """
+import sys
+from fdrelay import mcsim
+from fdrelay.outage import AntennaConfig, ZFMode
+
+def leaky(h, unit):
+    return h - 0.5 * unit[:, None] * (unit.conj()[:, None] * h).sum(axis=0)
+
+mcsim._project_off = leaky
+cfg = AntennaConfig(2, 3, 3, 2, ZFMode(sys.argv[1]))
+for run in (lambda: mcsim._block_gains(mcsim.make_rng(3, 0), cfg, mcsim.BLOCK_SIZE),
+            lambda: mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 3)):
+    try:
+        run()
+    except Exception as exc:
+        print(type(exc).__name__, type(exc.__cause__).__name__, exc, sep="|")
+"""
+
+
+@pytest.mark.skipif(not POOLED, reason="blocks run inline on this host")
+@pytest.mark.parametrize("mode", ["receive", "transmit"])
+def test_worker_error_reaches_caller_as_inline(mode):
+    result = subprocess.run([sys.executable, "-c", LEAKY_PROJECTION, mode],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    inline, pooled = (line.split("|") for line in result.stdout.splitlines())
+    assert inline[0] == pooled[0] == "DegenerateChannelError"
+    assert pooled[1] == "_RemoteTraceback"  # raised in a worker
+    assert inline[2] == pooled[2] and "ZF null residual" in inline[2]
+
+
+ORPHANED_WORKERS = """
+import multiprocessing, os, signal
+from fdrelay import mcsim
+from fdrelay.outage import AntennaConfig, ZFMode
+
+mcsim.link_gain_samples(AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE), 2 * mcsim.BLOCK_SIZE, 1)
+print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not POOLED or not Path("/proc/self/stat").exists(),
+                    reason="needs worker processes and /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    proc = subprocess.Popen([sys.executable, "-c", ORPHANED_WORKERS],
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    with proc.stdout:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+    try:
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert len(pids) == mcsim._usable_cpus()
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not any(map(_running, pids))
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
+
+
+FORKED_CHILD = """
+import os
+from fdrelay import mcsim
+from fdrelay.outage import AntennaConfig, ZFMode
+
+cfg = AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE)
+gains = mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 1)[0].tobytes()
+pid = os.fork()
+if pid == 0:
+    same = mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 1)[0].tobytes() == gains
+    os._exit(0 if same else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+
+
+@pytest.mark.skipif(not POOLED, reason="blocks run inline on this host")
+def test_forked_child_makes_its_own_pool():
+    # the parent's pool has no manager thread in a child; using it would hang
+    result = subprocess.run([sys.executable, "-c", FORKED_CHILD],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0"]
 
 
 def test_gain_samples_reject_bad_trials_argument():
