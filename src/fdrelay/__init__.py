@@ -18,7 +18,6 @@ from .outage import (
     ZFMode,
     diversity_order,
     e2e_outage,
-    end_to_end_outage,
     link_dims,
     link_outage,
     rate_to_snr_threshold,

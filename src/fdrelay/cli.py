@@ -108,18 +108,6 @@ class RunConfig:
             return 1.0, math.sqrt(self.asymmetry_ratio)
         return self.alpha_sr, self.alpha_rd
 
-    def budget_at(self, gammabar_db: float) -> LinkBudget:
-        a_sr, a_rd = self.resolved_alphas()
-        gbar = _db_to_linear(gammabar_db)
-        return LinkBudget(
-            p_s=self.p_s,
-            p_r=self.p_r,
-            gammabar_sr=gbar,
-            gammabar_rd=gbar,
-            alpha_sr=a_sr,
-            alpha_rd=a_rd,
-        )
-
 
 def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -303,7 +291,10 @@ def load_or_compute_table(dims: WishartDims, cache_dir: Optional[Path]) -> tuple
     path = _cache_path(cache_dir, dims)
     if path.exists():
         try:
-            return load_table(path), "cached"
+            table = load_table(path)
+            if table.dims != dims:
+                raise CacheFormatError(f"{path}: holds a={table.dims.a} b={table.dims.b}")
+            return table, "cached"
         except CacheFormatError as exc:
             print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
     table = extract_coefficients(dims)
@@ -340,17 +331,20 @@ def build_curve(run: RunConfig, cache_dir: Optional[Path] = None,
     if run.trials > 0:
         gains = mcsim.link_gain_samples(run.antenna, run.trials, run.seed)
 
-    # a point's link scales are these effective powers times its average SNR
-    base = run.budget_at(0.0)
-    p_s, p_r = base.effective_p_s, base.effective_p_r
+    # a point's hop scales are the unit-SNR scales times its average SNR
+    a_sr, a_rd = run.resolved_alphas()
+    unit = LinkBudget(p_s=run.p_s, p_r=run.p_r, alpha_sr=a_sr, alpha_rd=a_rd)
+    unit_sr, unit_rd = unit.scale_sr, unit.scale_rd
     gbars = [_db_to_linear(g_db) for g_db in run.grid_db]
-    p_sr = link_outage(table_sr, [p_s * g for g in gbars], gamma_t)
-    p_rd = link_outage(table_rd, [p_r * g for g in gbars], gamma_t)
+    scales_sr = [unit_sr * g for g in gbars]
+    scales_rd = [unit_rd * g for g in gbars]
+    p_sr = link_outage(table_sr, scales_sr, gamma_t)
+    p_rd = link_outage(table_rd, scales_rd, gamma_t)
     rows = []
-    for g_db, sr, rd in zip(run.grid_db, p_sr, p_rd):
+    for g_db, s_sr, s_rd, sr, rd in zip(run.grid_db, scales_sr, scales_rd, p_sr, p_rd):
         mc = ci_low = ci_high = None
         if gains is not None:
-            mc, ci_low, ci_high = mcsim.outage_from_gains(gains, run.budget_at(g_db), gamma_t)
+            mc, ci_low, ci_high = mcsim.outage_from_gains(gains, s_sr, s_rd, gamma_t)
         rows.append(CurveRow(g_db, e2e_outage(sr, rd), mc, ci_low, ci_high))
     return OutageCurve(rows=tuple(rows))
 
@@ -425,10 +419,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _z_score(analytic: float, mc: float, trials: int) -> float:
-    se = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / trials)
-    if se == 0.0:
-        return 0.0 if mc == analytic else math.inf
-    return (mc - analytic) / se
+    """Signed z of the exact two-sided binomial test of a failure share
+    ``mc`` of ``trials`` at rate ``analytic``: its p-value is the smaller
+    tail doubled.  A normal approximation is far off where less than a few
+    failures or successes are expected."""
+    from scipy.special import bdtr, bdtrc, ndtri  # 0.35 s to import: only compare pays
+
+    k = round(mc * trials)
+    tail = min(bdtr(k, trials, analytic), bdtrc(k - 1, trials, analytic))  # P(X <= k), P(X >= k)
+    return math.copysign(-float(ndtri(min(tail, 0.5))), mc - analytic)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Iterator, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -224,13 +223,14 @@ def _int_div(a: int, b: int) -> int:
     return c
 
 
-def _peel(rem: dict, q: Mapping, div: Callable) -> dict:
-    """Quotient of the term dict ``rem`` by nonzero ``q``; consumes ``rem``.
+def _peel(rem: dict, q: Mapping) -> dict:
+    """Quotient of the integer term dict ``rem`` by nonzero ``q``; consumes
+    ``rem``.
 
     Peels the leading term (lexicographic (k, l) order) of the running
     remainder against the leading term of q, dividing coefficients with
-    ``div``.  Every term a peel adds sits below the term it cancels, so the
-    leading keys fall strictly and a heap of keys finds the next one.
+    ``_int_div``.  Every term a peel adds sits below the term it cancels, so
+    the leading keys fall strictly and a heap of keys finds the next one.
     Raises InexactDivisionError if q does not divide the remainder.
     """
     qk, ql = qlead = max(q)
@@ -247,7 +247,7 @@ def _peel(rem: dict, q: Mapping, div: Callable) -> dict:
         dk, dl = -nk - qk, -nl - ql
         if dk < 0 or dl < 0:
             raise InexactDivisionError("leading term not divisible")
-        c = div(c, qc)
+        c = _int_div(c, qc)
         quot[(dk, dl)] = c
         for k2, l2, c2 in tail:
             key = (k2 + dk, l2 + dl)
@@ -261,18 +261,6 @@ def _peel(rem: dict, q: Mapping, div: Callable) -> dict:
             else:
                 rem[key] = s - t
     return quot
-
-
-def divexact(p: ExpPoly, q: ExpPoly) -> ExpPoly:
-    """Exact division p / q in the exponential-polynomial ring.
-
-    Rational leading-term peeling; raises InexactDivisionError if q does
-    not divide p.  ``determinant`` runs the same peeling on integer
-    coefficients, checking every coefficient quotient for a remainder.
-    """
-    if q.is_zero:
-        raise ZeroDivisionError("division by zero ExpPoly")
-    return ExpPoly._raw(_peel(dict(p._terms), q._terms, operator.truediv))
 
 
 def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
@@ -312,7 +300,7 @@ def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
         for i in range(p + 1, n):
             for j in range(p + 1, n):
                 cross = _nonzero(_mul_acc(_mul_acc({}, a[i][j], piv), a[i][p], a[p][j], -1))
-                a[i][j] = _peel(cross, prev, _int_div) if p else cross  # step 0 divides by 1
+                a[i][j] = _peel(cross, prev) if p else cross  # step 0 divides by 1
         prev = piv
     scale = sign * math.prod(scales)
     return ExpPoly._raw({key: Fraction(c, scale) for key, c in a[n - 1][n - 1].items()})

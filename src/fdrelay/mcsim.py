@@ -34,7 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .outage import AntennaConfig, LinkBudget, ZFMode
+from .outage import AntennaConfig, ZFMode
 
 log = logging.getLogger(__name__)
 
@@ -376,8 +376,8 @@ def link_gain_samples(config: AntennaConfig, trials: int, seed: int):
     """Unit-scale (SR, RD) gain samples for ``trials`` independent fades.
 
     Deterministic in (config, trials, seed), whatever the CPU count.
-    Multiply by the link scales from a LinkBudget to obtain instantaneous
-    SNR samples.
+    Multiply by each hop's scale (effective power times average SNR) to
+    obtain instantaneous SNR samples.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -409,9 +409,10 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     return lo, hi
 
 
-def outage_from_gains(gains, budget: LinkBudget, gamma_t: float,
+def outage_from_gains(gains, scale_sr: float, scale_rd: float, gamma_t: float,
                       z: float = Z_95) -> tuple[float, float, float]:
-    """Empirical end-to-end outage of unit-scale (SR, RD) gain samples.
+    """Empirical end-to-end outage of unit-scale (SR, RD) gain samples at
+    the hop scales ``scale_sr`` and ``scale_rd``.
 
     A trial fails iff either hop's SNR is below ``gamma_t``, which is the
     same event as min(snr_sr, snr_rd) < gamma_t.  Returns
@@ -426,7 +427,7 @@ def outage_from_gains(gains, budget: LinkBudget, gamma_t: float,
     failures = 0
     for start in range(0, lam_sr.size, SUB_BATCH):
         part = slice(start, start + SUB_BATCH)
-        snr_min = np.minimum(budget.scale_sr * lam_sr[part], budget.scale_rd * lam_rd[part])
+        snr_min = np.minimum(scale_sr * lam_sr[part], scale_rd * lam_rd[part])
         failures += int(np.count_nonzero(snr_min < gamma_t))
     trials = lam_sr.size
     return (failures / trials, *wilson_interval(failures, trials, z))

@@ -16,12 +16,11 @@ operate in linear SNR units; dB conversions belong to the CLI boundary.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Literal, Optional, Sequence, Tuple
 
-from .wishart import CoeffTable, WishartDims, cached_table
+from .wishart import CoeffTable, WishartDims
 
 #: Probabilities may exceed [0, 1] by at most this much before we treat the
 #: excursion as a coefficient bug instead of roundoff.
@@ -156,12 +155,11 @@ def _check_probability(value: float, context: str) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def link_outage(table: CoeffTable, scale: float | Sequence[float],
-                gamma_t: float) -> float | list[float]:
-    """Per-hop outage at linear threshold gamma_t for one scale (a float) or
-    a whole curve of scales (a list, one probability per scale > 0).
+def link_outage(table: CoeffTable, scales: Sequence[float], gamma_t: float) -> list[float]:
+    """Per-hop outage at linear threshold gamma_t over a whole curve of
+    scales, one probability per scale > 0.
 
-    ``scale`` is effective power times average SNR. P(s, y) for y = n * x,
+    A scale is effective power times average SNR. P(s, y) for y = n * x,
     x = gamma_t / scale, is the Poisson-tail series e^{-y} sum_{j>=s} y^j/j!
     below y = s + 1 and one minus the complement e^{-y} sum_{j<s} y^j/j!
     above it: positive terms only, stable from the deep left tail up to
@@ -169,15 +167,14 @@ def link_outage(table: CoeffTable, scale: float | Sequence[float],
     with math.fsum. Weight floats and lgamma(m + 2) are made once per call,
     log(y) and exp(-y) once per rate n and point.
     """
-    single = isinstance(scale, numbers.Real)
-    scales = (scale,) if single else tuple(scale)
+    scales = tuple(scales)
     for s in scales:
         if not s > 0:
             raise ValueError("scale must be > 0")
     if not gamma_t >= 0:
         raise ValueError("gamma_t must be non-negative")
     if gamma_t == 0:
-        return 0.0 if single else [0.0] * len(scales)
+        return [0.0] * len(scales)
     by_rate: dict[int, list[tuple[int, float, float]]] = {}
     for (n, m), w in table.entries.items():
         if w:
@@ -217,7 +214,7 @@ def link_outage(table: CoeffTable, scale: float | Sequence[float],
                     p = 1.0 - q
                 parts.append(w * p)
         outages.append(_check_probability(math.fsum(parts), "link outage"))
-    return outages[0] if single else outages
+    return outages
 
 
 def e2e_outage(p_sr: float, p_rd: float) -> float:
@@ -234,11 +231,3 @@ def diversity_order(config: AntennaConfig) -> int:
     if config.mode is ZFMode.RECEIVE:
         return min(n_s * (n_r1 - 1), n_r2 * n_d)
     return min(n_d * (n_r2 - 1), n_s * n_r1)
-
-
-def end_to_end_outage(config: AntennaConfig, budget: LinkBudget, query: OutageQuery) -> float:
-    """Closed-form end-to-end outage at one budget, from in-process tables."""
-    gamma_t = query.snr_threshold()
-    p_sr = link_outage(cached_table(link_dims(config, "sr")), budget.scale_sr, gamma_t)
-    p_rd = link_outage(cached_table(link_dims(config, "rd")), budget.scale_rd, gamma_t)
-    return e2e_outage(p_sr, p_rd)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fdrelay.cli import SLOPE_TOLERANCE, build_curve, fit_high_snr_slope
 from fdrelay.exppoly import ExpPoly
 from fdrelay.mcsim import (
     link_gain_samples,
@@ -24,10 +25,10 @@ from fdrelay.outage import (
     OutageQuery,
     ZFMode,
     diversity_order,
-    end_to_end_outage,
 )
 from fdrelay.wishart import WishartDims, extract_coefficients, max_eig_cdf
 from eig_samplers import sample_wishart_max_eig
+from runs import analytic_curve, make_run
 from zf_reference import (
     draw_trials,
     loopback_direction,
@@ -145,10 +146,11 @@ def test_criterion_5_closed_form_inside_mc_ci():
             cfg = AntennaConfig(*antennas, mode)
             gains = link_gain_samples(cfg, TRIALS, MC_SEED)
             for name, alphas in BUDGET_ALPHAS.items():
-                for g_db in GRID_DB:
+                curve = analytic_curve(antennas, mode, GRID_DB, query, alphas=alphas)
+                for g_db, analytic in zip(GRID_DB, curve):
                     budget = _budget(g_db, alphas)
-                    analytic = end_to_end_outage(cfg, budget, query)
-                    _, lo, hi = outage_from_gains(gains, budget, GAMMA_T, z=Z_99)
+                    _, lo, hi = outage_from_gains(gains, budget.scale_sr, budget.scale_rd,
+                                                  GAMMA_T, z=Z_99)
                     points += 1
                     if not lo <= analytic <= hi:
                         misses.append((antennas, mode.value, name, g_db,
@@ -164,44 +166,34 @@ def test_criterion_5_closed_form_inside_mc_ci():
 
 def test_criterion_6_figure_1_qualitative():
     query = OutageQuery.snr(GAMMA_T)
-    cfg_a = AntennaConfig(2, 3, 2, 1, ZFMode.RECEIVE)
-    cfg_b = AntennaConfig(2, 2, 3, 1, ZFMode.RECEIVE)
+    grid = (20.0, 25.0, 30.0)
+    # config a = (2,3,2,1), b = (2,2,3,1): one curve per config and budget
+    a, b = ({name: analytic_curve(antennas, ZFMode.RECEIVE, grid, query, alphas=alphas)
+             for name, alphas in BUDGET_ALPHAS.items()}
+            for antennas in ((2, 3, 2, 1), (2, 2, 3, 1)))
     ok = True
-    for g_db in (20.0, 25.0, 30.0):
-        p_a_sym = end_to_end_outage(cfg_a, _budget(g_db, BUDGET_ALPHAS["symmetric"]), query)
-        p_b_sym = end_to_end_outage(cfg_b, _budget(g_db, BUDGET_ALPHAS["symmetric"]), query)
+    for p_a_sym, p_b_sym, p_a_rd, p_b_rd, p_a_sr, p_b_sr in zip(
+            *(curves[name] for name in BUDGET_ALPHAS for curves in (a, b))):
         ok &= p_a_sym <= p_b_sym  # more receive antennas at R win under symmetry
-
-        rd = BUDGET_ALPHAS["rd_dominant_3_2"]
-        p_a_rd = end_to_end_outage(cfg_a, _budget(g_db, rd), query)
-        p_b_rd = end_to_end_outage(cfg_b, _budget(g_db, rd), query)
         ok &= p_a_rd <= p_b_rd
         ok &= (p_b_rd - p_a_rd) > (p_b_sym - p_a_sym)  # gap widens
-
-        sr = BUDGET_ALPHAS["sr_dominant_3_2"]
-        p_a_sr = end_to_end_outage(cfg_a, _budget(g_db, sr), query)
-        p_b_sr = end_to_end_outage(cfg_b, _budget(g_db, sr), query)
         ok &= p_b_sr <= p_a_sr  # ordering reverses when the first hop dominates
     _report("criterion 6: antenna-split ordering, gap growth, and reversal", ok)
 
 
 def test_criterion_7_diversity_order_slopes():
     query = OutageQuery.snr(GAMMA_T)
-    fit_db = np.arange(30.0, 40.01, 2.5)
+    fit_db = (30.0, 32.5, 35.0, 37.5, 40.0)
     failures = []
     for antennas in CONFIG_SET:
         for mode in MODES:
-            cfg = AntennaConfig(*antennas, mode)
-            logs = []
-            for g_db in fit_db:
-                p = end_to_end_outage(cfg, _budget(g_db, (1.0, 1.0)), query)
-                logs.append((g_db / 10.0, math.log10(p)))
-            slope = float(np.polyfit(*zip(*logs), 1)[0])
-            predicted = diversity_order(cfg)
-            if abs(slope + predicted) > 0.3:
+            run = make_run(antennas, mode, fit_db, query)
+            slope = fit_high_snr_slope(build_curve(run))
+            predicted = diversity_order(run.antenna)
+            if abs(slope + predicted) > SLOPE_TOLERANCE:
                 failures.append((antennas, mode.value, predicted, round(slope, 3)))
     _report(
-        "criterion 7: high-SNR slope within +/-0.3 of -diversity order",
+        f"criterion 7: high-SNR slope within +/-{SLOPE_TOLERANCE} of -diversity order",
         not failures,
         f"failures: {failures}" if failures else "10 config/mode fits",
     )

@@ -17,7 +17,9 @@ from fdrelay.cli import (
     main,
     parse_run_config,
 )
-from fdrelay.outage import AntennaConfig, OutageQuery, ZFMode
+from fdrelay.outage import OutageQuery
+from fdrelay.wishart import WishartDims, load_table
+from runs import make_run
 
 
 def write_config(tmp_path, name="run.cfg", **overrides):
@@ -165,14 +167,9 @@ GOLDEN_CSV_SHA256 = {
 
 
 def _curve_sha256(tmp_path, antennas, mode, asymmetry, ratio, gamma_t_db, grid_db,
-                  trials, seed):
-    run = cli.RunConfig(
-        antenna=AntennaConfig(*antennas, ZFMode(mode)),
-        query=OutageQuery.snr(10.0 ** (gamma_t_db / 10.0)),
-        grid_db=grid_db, p_s=1.0, p_r=1.0, alpha_sr=1.0, alpha_rd=1.0,
-        trials=trials, seed=seed, out_csv=None,
-        asymmetry=asymmetry, asymmetry_ratio=ratio,
-    )
+                  trials, seed, p_s=1.0, p_r=1.0):
+    run = make_run(antennas, mode, grid_db, OutageQuery.snr(10.0 ** (gamma_t_db / 10.0)),
+                   p_s=p_s, p_r=p_r, trials=trials, seed=seed, asymmetry=asymmetry, ratio=ratio)
     path = tmp_path / "curve.csv"
     cli.write_csv(build_curve(run), path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -203,6 +200,22 @@ def test_mc_csv_bytes_are_pinned(tmp_path):
         grid = tuple(2.0 * i for i in range(16))
         assert _curve_sha256(tmp_path, antennas, mode, "symmetric", None, 10.0, grid,
                              trials=4 * mcsim.BLOCK_SIZE, seed=5) == digest, antennas
+
+
+#: As GOLDEN_MC_CSV_SHA256, for (2,3,2,2) receive with 2 blocks of trials,
+#: p_s = 2 and p_r = 0.5 under a 3:2 asymmetric budget: the two hops' scales
+#: differ at every point.  asymmetry -> digest.
+GOLDEN_ASYMMETRIC_MC_CSV_SHA256 = {
+    "rd_dominant": "48da93a0af7716b908f5d58f4639d9620fb18b5f52bd9946e682fdf941f0344f",
+    "sr_dominant": "c332011cac98101ccd3f6d3001abfe51b3f955db90eebcdb4634220c40a6ec01",
+}
+
+
+def test_asymmetric_mc_csv_bytes_are_pinned(tmp_path):
+    for asymmetry, digest in GOLDEN_ASYMMETRIC_MC_CSV_SHA256.items():
+        grid = tuple(2.0 * i for i in range(16))
+        assert _curve_sha256(tmp_path, (2, 3, 2, 2), "receive", asymmetry, 1.5, 10.0, grid,
+                             trials=2 * mcsim.BLOCK_SIZE, seed=5, p_s=2.0, p_r=0.5) == digest
 
 
 def test_sweep_rate_threshold_equivalent(tmp_path):
@@ -342,6 +355,20 @@ def test_sweep_uses_cache_dir(tmp_path):
     assert (cache / "coeff_a1_b2.txt").exists()
 
 
+def test_sweep_replaces_a_cached_table_of_other_dims(tmp_path, capsys):
+    # a well-formed table of 2x4 under the 2x3 name is as unusable as a
+    # corrupt file: warn, recompute, rewrite
+    cache = tmp_path / "cache"
+    assert main(["coeffs", "2x3", "2x4", "--cache-dir", str(cache)]) == 0
+    (cache / "coeff_a2_b4.txt").replace(cache / "coeff_a2_b3.txt")
+    cfg = write_config(tmp_path, n_s=3, n_r1=3, grid_start_db=10, grid_stop_db=10)
+    assert main(["sweep", "--config", str(cfg), "--cache-dir", str(cache)]) == 0
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert float(rows[0][1]) == pytest.approx(0.2658, abs=5e-5)  # the 2x4 table gives 0.2643
+    assert "ignoring unreadable cache" in capsys.readouterr().err
+    assert load_table(cache / "coeff_a2_b3.txt").dims == WishartDims(2, 3)
+
+
 # -- compare subcommand ----------------------------------------------------------------
 
 
@@ -349,6 +376,14 @@ def test_compare_agrees_with_healthy_pipeline(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=20_000, seed=4, grid_stop_db=15)
     assert main(["compare", "--config", str(cfg)]) == 0
     assert "max |z|" in capsys.readouterr().out
+
+
+def test_compare_z_is_exact_where_few_successes_are_expected(tmp_path, capsys):
+    # at 0 dB about 0.3 non-outages are expected of 131072 trials, and 2
+    # were drawn: a normal approximation called that z = -3.08
+    cfg = write_config(tmp_path, trials=2 * mcsim.BLOCK_SIZE, seed=9, grid_stop_db=15)
+    assert main(["compare", "--config", str(cfg)]) == 0
+    assert "compare: OK (max |z| = 1.779)" in capsys.readouterr().out
 
 
 def test_compare_detects_injected_fault(tmp_path, capsys, monkeypatch):

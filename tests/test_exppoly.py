@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from det_reference import det_cofactor
-from fdrelay.exppoly import ExpPoly, InexactDivisionError, _int_div, _peel, determinant, divexact
+from fdrelay.exppoly import ExpPoly, InexactDivisionError, _peel, determinant
 from fdrelay.wishart import gram_entries, lower_gamma_poly, WishartDims
 
 
@@ -207,29 +207,14 @@ def test_large_matrix_uses_bareiss_path():
 # -- exact division -----------------------------------------------------------------
 
 
-@given(exppolys, exppolys)
-@settings(max_examples=60)
-def test_divexact_inverts_multiplication(p, q):
-    if q.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            divexact(p, q)
-    else:
-        assert divexact(p * q, q) == p
-
-
-def test_divexact_rejects_inexact():
-    with pytest.raises(InexactDivisionError):
-        divexact(ep({(0, 1): 1, (0, 0): 1}), ep({(1, 0): 1}))
-    # rational coefficients whose peel leaves a remainder no lead divides
-    with pytest.raises(InexactDivisionError):
-        divexact(ep({(0, 2): F(1, 2), (0, 0): F(1, 3)}), ep({(0, 1): F(1, 3), (0, 0): F(1, 7)}))
-
-
 def test_integer_peel_checks_each_coefficient():
     # integer elimination divides coefficients exactly or not at all
-    assert _peel({(1, 1): 6, (0, 1): 4}, {(0, 1): 2}, _int_div) == {(1, 0): 3, (0, 0): 2}
+    assert _peel({(1, 1): 6, (0, 1): 4}, {(0, 1): 2}) == {(1, 0): 3, (0, 0): 2}
     with pytest.raises(InexactDivisionError):
-        _peel({(1, 1): 6, (0, 1): 3}, {(0, 1): 2}, _int_div)
+        _peel({(1, 1): 6, (0, 1): 3}, {(0, 1): 2})
+    # a remainder whose leading term the divisor's lead does not divide
+    with pytest.raises(InexactDivisionError):
+        _peel({(0, 1): 1, (0, 0): 1}, {(1, 0): 1})
 
 
 # -- ring axioms ---------------------------------------------------------------------

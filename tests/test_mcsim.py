@@ -30,9 +30,11 @@ from fdrelay.mcsim import (
     outage_from_gains,
     wilson_interval,
 )
-from fdrelay.outage import AntennaConfig, LinkBudget, OutageQuery, ZFMode, end_to_end_outage
+from fdrelay.cli import build_curve
+from fdrelay.outage import AntennaConfig, LinkBudget, ZFMode
 from fdrelay.wishart import WishartDims
 from eig_samplers import projected_max_eig_samples, sample_wishart_max_eig
+from runs import make_run
 from zf_reference import (
     draw_trials,
     loopback_direction,
@@ -176,9 +178,9 @@ def test_snrs_linear_in_power():
     assert quad.scale_sr == 4.0 * base.scale_sr
     assert quad.scale_rd == 4.0 * base.scale_rd
     # four times the power against four times the threshold: the same trials fail
-    est = outage_from_gains(gains, base, 20.0)
+    est = outage_from_gains(gains, base.scale_sr, base.scale_rd, 20.0)
     assert 0.0 < est[0] < 1.0
-    assert outage_from_gains(gains, quad, 80.0) == est
+    assert outage_from_gains(gains, quad.scale_sr, quad.scale_rd, 80.0) == est
 
 
 def test_mean_projected_gain_matches_quadrature():
@@ -234,27 +236,25 @@ def test_noise_only_received_power():
 def test_outage_from_gains_hand_count():
     gains = (np.array([1.0, 2.0, 3.0, 4.0]), np.array([4.0, 3.0, 2.0, 0.5]))
     # SNRs min(2 * sr, rd) = (2, 3, 2, 0.5): three of four are below 2.5
-    p_hat, lo, hi = outage_from_gains(gains, LinkBudget(p_s=2.0), 2.5)
+    p_hat, lo, hi = outage_from_gains(gains, 2.0, 1.0, 2.5)
     assert p_hat == 0.75
     assert (lo, hi) == wilson_interval(3, 4)
     z_99 = 2.5758293035489004
-    assert outage_from_gains(gains, LinkBudget(p_s=2.0), 2.5, z=z_99) == (
+    assert outage_from_gains(gains, 2.0, 1.0, 2.5, z=z_99) == (
         0.75, *wilson_interval(3, 4, z=z_99))
     # the threshold itself is not an outage
-    assert outage_from_gains(gains, LinkBudget(p_s=2.0), 2.0)[0] == 0.25
+    assert outage_from_gains(gains, 2.0, 1.0, 2.0)[0] == 0.25
 
 
 def test_estimate_outage_trivial_thresholds():
     gains = link_gain_samples(RX_CFG, 2000, seed=1)
-    budget = LinkBudget()
-    assert outage_from_gains(gains, budget, 0.0)[0] == 0.0
-    assert outage_from_gains(gains, budget, 1e12)[0] == 1.0
+    assert outage_from_gains(gains, 1.0, 1.0, 0.0)[0] == 0.0
+    assert outage_from_gains(gains, 1.0, 1.0, 1e12)[0] == 1.0
 
 
 def test_estimate_outage_deterministic():
-    budget = LinkBudget(gammabar_sr=10.0, gammabar_rd=10.0)
-    e1 = outage_from_gains(link_gain_samples(RX_CFG, 30_000, seed=77), budget, 5.0)
-    e2 = outage_from_gains(link_gain_samples(RX_CFG, 30_000, seed=77), budget, 5.0)
+    e1 = outage_from_gains(link_gain_samples(RX_CFG, 30_000, seed=77), 10.0, 10.0, 5.0)
+    e2 = outage_from_gains(link_gain_samples(RX_CFG, 30_000, seed=77), 10.0, 10.0, 5.0)
     assert e1 == e2
     p_hat, lo, hi = e1
     assert lo <= p_hat <= hi
@@ -262,16 +262,10 @@ def test_estimate_outage_deterministic():
 
 
 def test_estimate_outage_matches_closed_form():
-    cfg = AntennaConfig(2, 3, 2, 1, ZFMode.RECEIVE)
-    g = 10.0 ** 1.5
-    budget = LinkBudget(gammabar_sr=g, gammabar_rd=g)
-    q = OutageQuery.snr(10.0)
-    analytic = end_to_end_outage(cfg, budget, q)
     trials = 50_000
-    p_hat, _, _ = outage_from_gains(link_gain_samples(cfg, trials, seed=3), budget,
-                                    q.snr_threshold())
-    se = math.sqrt(analytic * (1 - analytic) / trials)
-    assert abs(p_hat - analytic) <= 4.0 * se
+    (row,) = build_curve(make_run((2, 3, 2, 1), "receive", (15.0,), trials=trials, seed=3)).rows
+    se = math.sqrt(row.analytic * (1 - row.analytic) / trials)
+    assert abs(row.mc - row.analytic) <= 4.0 * se
 
 
 # -- degenerate trials -------------------------------------------------------------------

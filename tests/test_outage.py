@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from scipy import integrate, special
 
+from fdrelay.cli import SLOPE_TOLERANCE, build_curve, fit_high_snr_slope
 from fdrelay.outage import (
     AntennaConfig,
     InvalidProbabilityError,
@@ -18,13 +19,13 @@ from fdrelay.outage import (
     _check_probability,
     diversity_order,
     e2e_outage,
-    end_to_end_outage,
     link_dims,
     link_outage,
     rate_to_snr_threshold,
 )
 from fdrelay.wishart import CoeffTable, WishartDims, cached_table
 from outage_reference import link_outage_at, link_snr_pdf, regularized_lower_gamma
+from runs import analytic_curve, make_run
 
 
 def table(a, b):
@@ -118,17 +119,18 @@ def test_regularized_gamma_monotone():
 
 def test_link_outage_limits():
     t = table(2, 3)
-    assert link_outage(t, 2.0, 0.0) == 0.0
-    assert link_outage(t, 2.0, 1e9) == pytest.approx(1.0, abs=1e-12)
+    assert link_outage(t, [2.0], 0.0) == [0.0]
+    assert link_outage(t, [2.0], 1e9)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_link_outage_erlang_two():
     # Erlang(2) CDF at 1: 1 - 2/e; cross-checked by quadrature of x e^-x
     t = table(1, 2)
     expected = 1.0 - 2.0 * math.exp(-1.0)
-    assert link_outage(t, 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
+    (p,) = link_outage(t, [1.0], 1.0)
+    assert p == pytest.approx(expected, rel=1e-12)
     quad, _ = integrate.quad(lambda x: x * math.exp(-x), 0.0, 1.0)
-    assert link_outage(t, 1.0, 1.0) == pytest.approx(quad, rel=1e-9)
+    assert p == pytest.approx(quad, rel=1e-9)
 
 
 @pytest.mark.parametrize("a,b,scale", [(1, 2, 1.0), (2, 2, 3.7), (2, 3, 0.6), (1, 1, 5.0)])
@@ -137,16 +139,15 @@ def test_link_outage_consistent_with_pdf(a, b, scale):
     for gamma_t in (0.4, 1.3, 6.0):
         ref, err = integrate.quad(lambda x: link_snr_pdf(t, scale, x), 0.0, gamma_t,
                                   limit=200)
-        assert link_outage(t, scale, gamma_t) == pytest.approx(ref, abs=max(1e-8, 10 * err))
+        assert link_outage(t, [scale], gamma_t)[0] == pytest.approx(ref, abs=max(1e-8, 10 * err))
 
 
 def test_link_outage_monotone_in_threshold_and_scale():
     t = table(2, 2)
     thresholds = np.linspace(0.0, 20.0, 60)
-    vals = [link_outage(t, 2.5, float(g)) for g in thresholds]
+    vals = [link_outage(t, [2.5], float(g))[0] for g in thresholds]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-    scales = np.linspace(0.2, 40.0, 60)
-    vals = [link_outage(t, float(s), 3.0) for s in scales]
+    vals = link_outage(t, [float(s) for s in np.linspace(0.2, 40.0, 60)], 3.0)
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -154,7 +155,7 @@ def test_link_outage_rejects_bogus_weights():
     good = table(1, 2)
     bogus = CoeffTable(good.dims, good.norm_const, {(1, 1): F(3, 2)})
     with pytest.raises(InvalidProbabilityError):
-        link_outage(bogus, 1.0, 1e6)  # weights sum to 1.5 -> "probability" 1.5
+        link_outage(bogus, [1.0], 1e6)  # weights sum to 1.5 -> "probability" 1.5
 
 
 def _reference_curve(t, scales, gamma_t):
@@ -190,11 +191,11 @@ def test_whole_curve_is_bitwise_per_point_reference(a, b):
             if r is InvalidProbabilityError:
                 raised += 1
                 with pytest.raises(InvalidProbabilityError):
-                    link_outage(t, s, gamma_t)
+                    link_outage(t, [s], gamma_t)
                 with pytest.raises(InvalidProbabilityError):
                     link_outage(t, [1.0, s], gamma_t)
             else:
-                assert link_outage(t, s, gamma_t).hex() == r.hex()
+                assert link_outage(t, [s], gamma_t)[0].hex() == r.hex()
     if (a, b) == (7, 7):
         # cancellation at small x leaves [0, 1] here, at the same inputs
         assert raised > 0
@@ -203,7 +204,7 @@ def test_whole_curve_is_bitwise_per_point_reference(a, b):
 def test_whole_curve_edges():
     t = table(3, 4)
     # gamma_t / scale underflows to 0.0: the outage is 0, as per point
-    assert link_outage(t, 1e300, 1e-300) == 0.0 == link_outage_at(t, 1e300, 1e-300)
+    assert link_outage(t, [1e300], 1e-300) == [0.0] == [link_outage_at(t, 1e300, 1e-300)]
     assert link_outage(t, [1e300, 2.0], 1e-300) == [0.0, link_outage_at(t, 2.0, 1e-300)]
     assert link_outage(t, [2.0, 5.0], 0.0) == [0.0, 0.0]
     assert link_outage(t, [1.0, 1e300], math.inf) == [1.0, 1.0] == [
@@ -211,7 +212,7 @@ def test_whole_curve_edges():
     assert link_outage(t, [], 1.0) == []
     assert link_outage(t, (s for s in (2.0, 5.0)), 1.0) == [
         link_outage_at(t, 2.0, 1.0), link_outage_at(t, 5.0, 1.0)]
-    for bad in ([1.0, math.nan], [1.0, 0.0], [-1.0], math.nan, 0.0, -2.0):
+    for bad in ([1.0, math.nan], [1.0, 0.0], [-1.0], [math.nan], [0.0], [-2.0]):
         with pytest.raises(ValueError, match="scale must be > 0"):
             link_outage(t, bad, 1.0)
     with pytest.raises(ValueError):  # inf / inf is not a point
@@ -220,7 +221,7 @@ def test_whole_curve_edges():
 
 def test_nan_does_not_leak_out_of_closed_form():
     with pytest.raises(ValueError, match="gamma_t must be non-negative"):
-        link_outage(table(2, 3), 1.0, math.nan)
+        link_outage(table(2, 3), [1.0], math.nan)
     with pytest.raises(InvalidProbabilityError):
         _check_probability(math.nan, "link outage")
 
@@ -283,11 +284,10 @@ def test_rate_to_snr_threshold():
 
 
 def test_rate_path_is_bitwise_same_as_snr_path():
-    cfg = AntennaConfig(2, 3, 2, 1, ZFMode.RECEIVE)
-    budget = LinkBudget(gammabar_sr=30.0, gammabar_rd=30.0)
+    grid = (0.0, 10.0, 14.77, 30.0)
     for r0 in (0.5, 1.0, 2.0, 3.5):
-        via_rate = end_to_end_outage(cfg, budget, OutageQuery.rate(r0))
-        via_snr = end_to_end_outage(cfg, budget, OutageQuery.snr(2.0 ** r0 - 1.0))
+        via_rate = analytic_curve((2, 3, 2, 1), "receive", grid, OutageQuery.rate(r0))
+        via_snr = analytic_curve((2, 3, 2, 1), "receive", grid, OutageQuery.snr(2.0 ** r0 - 1.0))
         assert via_rate == via_snr
 
 
@@ -295,28 +295,19 @@ def test_rate_path_is_bitwise_same_as_snr_path():
 
 
 def test_e2e_zero_threshold():
-    cfg = AntennaConfig(2, 3, 2, 1, ZFMode.RECEIVE)
-    assert end_to_end_outage(cfg, LinkBudget(), OutageQuery.snr(0.0)) == 0.0
+    assert analytic_curve((2, 3, 2, 1), "receive", (0.0, 20.0), OutageQuery.snr(0.0)) == [0.0, 0.0]
 
 
 def test_e2e_monotone_in_average_snr():
-    cfg = AntennaConfig(2, 3, 2, 1, ZFMode.RECEIVE)
-    q = OutageQuery.snr(10.0)
-    vals = []
-    for g_db in range(0, 35, 5):
-        g = 10.0 ** (g_db / 10.0)
-        vals.append(end_to_end_outage(cfg, LinkBudget(gammabar_sr=g, gammabar_rd=g), q))
+    vals = analytic_curve((2, 3, 2, 1), "receive", range(0, 35, 5))
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_antenna_split_ordering_high_snr():
-    q = OutageQuery.snr(10.0)
-    for g_db in (20, 25, 30):
-        g = 10.0 ** (g_db / 10.0)
-        budget = LinkBudget(gammabar_sr=g, gammabar_rd=g)
-        p_2321 = end_to_end_outage(AntennaConfig(2, 3, 2, 1, ZFMode.RECEIVE), budget, q)
-        p_2231 = end_to_end_outage(AntennaConfig(2, 2, 3, 1, ZFMode.RECEIVE), budget, q)
-        assert p_2321 <= p_2231
+    grid = (20.0, 25.0, 30.0)
+    p_2321 = analytic_curve((2, 3, 2, 1), "receive", grid)
+    p_2231 = analytic_curve((2, 2, 3, 1), "receive", grid)
+    assert all(a <= b for a, b in zip(p_2321, p_2231))
 
 
 # -- diversity order --------------------------------------------------------------------------
@@ -336,12 +327,6 @@ def test_diversity_order(antennas, mode, expected):
 
 def test_high_snr_slope_quick():
     # log-log slope of the analytic curve over 30..40 dB tracks -order
-    cfg = AntennaConfig(2, 3, 2, 1, ZFMode.RECEIVE)
-    q = OutageQuery.snr(10.0)
-    points = []
-    for g_db in np.arange(30.0, 40.1, 2.5):
-        g = 10.0 ** (g_db / 10.0)
-        p = end_to_end_outage(cfg, LinkBudget(gammabar_sr=g, gammabar_rd=g), q)
-        points.append((g_db / 10.0, math.log10(p)))
-    slope = np.polyfit(*zip(*points), 1)[0]
-    assert abs(slope + diversity_order(cfg)) <= 0.3
+    run = make_run((2, 3, 2, 1), "receive", (30.0, 32.5, 35.0, 37.5, 40.0))
+    slope = fit_high_snr_slope(build_curve(run))
+    assert abs(slope + diversity_order(run.antenna)) <= SLOPE_TOLERANCE

@@ -24,9 +24,23 @@ def test_outage_curves_script(tmp_path):
         assert len(lines) == 4 and all(lines[-1].split(","))
 
 
+DIVERSITY_SLOPES_STDOUT = """\
+      config      mode order    slope   delta
+(2, 3, 2, 1)   receive     2   -1.997   0.003
+(2, 3, 2, 1)  transmit     1   -0.998   0.002
+(2, 2, 3, 1)   receive     2   -1.999   0.001
+(2, 2, 3, 1)  transmit     2   -1.997   0.003
+(2, 3, 2, 2)   receive     4   -3.996   0.004
+(2, 3, 2, 2)  transmit     2   -1.997   0.003
+(2, 3, 2, 3)   receive     4   -3.996   0.004
+(2, 3, 2, 3)  transmit     3   -2.997   0.003
+(3, 2, 2, 2)   receive     3   -2.999   0.001
+(3, 2, 2, 2)  transmit     2   -1.997   0.003
+worst |slope + order| = 0.004
+"""
+
+
 def test_diversity_slopes_script():
     result = run_script("diversity_slopes.py")
     assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    assert lines[0].split() == ["config", "mode", "order", "slope", "delta"]
-    assert len(lines) == 12 and lines[-1].startswith("worst |slope + order|")
+    assert result.stdout == DIVERSITY_SLOPES_STDOUT
