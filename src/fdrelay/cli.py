@@ -51,12 +51,13 @@ CSV_HEADER = "gammabar_db,analytic,mc,ci_low,ci_high"
 SLOPE_TOLERANCE = 0.3
 #: Longest SNR grid a run config may ask for: 0.01 dB steps across 100 dB.
 #: Finer curves show nothing new, and every point costs a closed-form
-#: evaluation and a pass over all Monte Carlo gains.
+#: evaluation and, in each Monte Carlo block, a pass over that block's gains.
 MAX_GRID_POINTS = 10_000
-#: Most Monte Carlo trials a run may ask for.  Their gains take 4 GiB, two
-#: floats per trial, and (2,3,2,2) draws them in about 3 minutes on 2 CPUs;
-#: that resolves an outage of 1e-6 to about +-12 % at 95 %.
-MAX_TRIALS = 2 ** 28
+#: Most Monte Carlo trials a run may ask for.  Memory does not grow with
+#: trials, since each block is counted where it is drawn, so the bound is
+#: one of time: (2,3,2,2) takes about 50 minutes on 2 CPUs, and resolves an
+#: outage of 1e-6 to about +-3 % at 95 %.
+MAX_TRIALS = 2 ** 32
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -108,6 +109,15 @@ class RunConfig:
             return 1.0, math.sqrt(self.asymmetry_ratio)
         return self.alpha_sr, self.alpha_rd
 
+    def hop_scales(self) -> Tuple[list, list]:
+        """Each hop's scale, effective power times average SNR, at every grid
+        point: the unit-SNR scale times the point's average SNR."""
+        a_sr, a_rd = self.resolved_alphas()
+        unit = LinkBudget(p_s=self.p_s, p_r=self.p_r, alpha_sr=a_sr, alpha_rd=a_rd)
+        unit_sr, unit_rd = unit.scale_sr, unit.scale_rd
+        gbars = [_db_to_linear(g_db) for g_db in self.grid_db]
+        return [unit_sr * g for g in gbars], [unit_rd * g for g in gbars]
+
 
 def _db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
@@ -117,7 +127,7 @@ def _check_trials(trials: int, where: str) -> int:
     if trials < 0:
         raise ConfigError(f"{where}: trials must be >= 0, got {trials}")
     if trials > MAX_TRIALS:
-        raise ConfigError(f"{where}: trials must be <= 2**28 = {MAX_TRIALS}, got {trials}")
+        raise ConfigError(f"{where}: trials must be <= 2**32 = {MAX_TRIALS}, got {trials}")
     return trials
 
 
@@ -254,7 +264,7 @@ def parse_run_config(path: str | Path) -> RunConfig:
         if ratio is None or ratio <= 1.0:
             raise ConfigError(f"{path}: asymmetric budgets need asymmetry_ratio > 1")
 
-    return RunConfig(
+    run = RunConfig(
         antenna=antenna,
         query=query,
         grid_db=grid,
@@ -268,6 +278,18 @@ def parse_run_config(path: str | Path) -> RunConfig:
         asymmetry=asymmetry,
         asymmetry_ratio=ratio,
     )
+    # the scales grow with the grid, so its two ends bound them all
+    ends = dataclasses.replace(run, grid_db=(grid[0], grid[-1]))
+    try:
+        scales = ends.hop_scales()
+    except OverflowError:  # alpha ** 2 overflowed
+        scales = ([math.inf], [math.inf])
+    for hop, power, hop_scales in zip(("sr", "rd"), ("p_s", "p_r"), scales):
+        if not all(0.0 < scale < math.inf for scale in hop_scales):
+            raise ConfigError(f"{path}: the {hop} hop's linear scale alpha_{hop}**2 * {power} "
+                              "* gammabar is out of range at an end of the grid: "
+                              "it must be finite and > 0")
+    return run
 
 
 # -- coefficient cache --------------------------------------------------------
@@ -318,33 +340,28 @@ def build_curve(run: RunConfig, cache_dir: Optional[Path] = None,
                 fault: Optional[str] = None) -> OutageCurve:
     """Analytic (and optionally Monte Carlo) outage across the SNR grid.
 
-    Monte Carlo gain samples are drawn once per run and rethresholded per
-    grid point, which is identical in distribution to per-point estimation
-    with the same seed and keeps the CSV deterministic.
+    Monte Carlo draws one set of trials per run and counts, block by block,
+    the trials in outage at every grid point, which is identical in
+    distribution to per-point estimation with the same seed and keeps the
+    CSV deterministic.
     """
     dims_sr, dims_rd = _analysis_dims(run.antenna, fault)
     table_sr, _ = load_or_compute_table(dims_sr, cache_dir)
     table_rd, _ = load_or_compute_table(dims_rd, cache_dir)
     gamma_t = run.query.snr_threshold()
-
-    gains = None
-    if run.trials > 0:
-        gains = mcsim.link_gain_samples(run.antenna, run.trials, run.seed)
-
-    # a point's hop scales are the unit-SNR scales times its average SNR
-    a_sr, a_rd = run.resolved_alphas()
-    unit = LinkBudget(p_s=run.p_s, p_r=run.p_r, alpha_sr=a_sr, alpha_rd=a_rd)
-    unit_sr, unit_rd = unit.scale_sr, unit.scale_rd
-    gbars = [_db_to_linear(g_db) for g_db in run.grid_db]
-    scales_sr = [unit_sr * g for g in gbars]
-    scales_rd = [unit_rd * g for g in gbars]
+    scales_sr, scales_rd = run.hop_scales()
     p_sr = link_outage(table_sr, scales_sr, gamma_t)
     p_rd = link_outage(table_rd, scales_rd, gamma_t)
+    failures = [None] * len(run.grid_db)
+    if run.trials > 0:
+        failures = mcsim.link_gain_samples(run.antenna, run.trials, run.seed,
+                                           scales_sr, scales_rd, gamma_t)[0].tolist()
     rows = []
-    for g_db, s_sr, s_rd, sr, rd in zip(run.grid_db, scales_sr, scales_rd, p_sr, p_rd):
+    for g_db, sr, rd, k in zip(run.grid_db, p_sr, p_rd, failures):
         mc = ci_low = ci_high = None
-        if gains is not None:
-            mc, ci_low, ci_high = mcsim.outage_from_gains(gains, s_sr, s_rd, gamma_t)
+        if k is not None:
+            mc = k / run.trials
+            ci_low, ci_high = mcsim.wilson_interval(k, run.trials)
         rows.append(CurveRow(g_db, e2e_outage(sr, rd), mc, ci_low, ci_high))
     return OutageCurve(rows=tuple(rows))
 

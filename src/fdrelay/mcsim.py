@@ -2,17 +2,20 @@
 
 Samples i.i.d. Rayleigh MIMO channels, builds the zero-forcing beamformers
 (the relay's receive or transmit vector is projected off the loopback
-direction so the self-interference term is exactly nulled), and returns the
-per-hop gains; ``outage_from_gains`` turns them into an outage estimate with
-a Wilson confidence interval.
+direction so the self-interference term is exactly nulled), and counts the
+trials in outage at every point of an SNR grid; the caller turns each count
+into an outage estimate with ``wilson_interval``.
 
 Randomness uses the counter-based Philox generator with one jumped
 substream per fixed-size block of trials, so each block's gains depend only
-on (seed, block) and runs are exactly reproducible.  A run of two or more
-blocks sends them to a pool of worker processes, forked once per process
-with one worker per usable CPU, and puts the results back in block order;
-its gains are bitwise those of running every block inline, as a one-block
-run, a one-CPU host or a platform without ``fork`` does.
+on (seed, block) and runs are exactly reproducible.  Each block is
+thresholded where it was drawn, by ``outage_from_gains``, and only its
+per-point failure counts leave it, so no process holds more than one block
+of gains.  A run of two or more blocks sends them to a pool of worker
+processes, forked once per process with one worker per usable CPU, and adds
+up their counts in block order; the counts are those of running every block
+inline, as a one-block run, a one-CPU host or a platform without ``fork``
+does.
 
 One batched kernel, ``_zf_trials``, is the only simulator: it serves both ZF
 modes, and a single trial is a batch of one.  It takes each block SUB_BATCH
@@ -29,8 +32,9 @@ import math
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat, starmap
 
 import numpy as np
 
@@ -47,9 +51,14 @@ DEGENERATE_TOL = 1e-150
 #: Fraction of redrawn degenerate trials above which a run fails loudly.
 MAX_REDRAW_FRACTION = 1e-5
 
-#: Trials per pass of the gain kernel within one RNG block; bounds the
-#: kernel's temporaries without moving any block boundary.
+#: Trials per pass of the gain kernel and of the failure count within one
+#: RNG block; bounds their temporaries without moving any block boundary.
 SUB_BATCH = 1 << 13
+
+#: Blocks handed to the pool per worker ahead of the block whose counts the
+#: parent adds next: keeps every worker busy, while the parent's pending
+#: work stays the same size whatever the number of trials.
+BLOCKS_AHEAD_PER_WORKER = 2
 
 #: Largest accepted ZF null |w_r^H H_rr w_t| of unit beamformers, per trial.
 ZF_NULL_TOL = 1e-10
@@ -284,9 +293,12 @@ def _block_gains(rng: np.random.Generator, config: AntennaConfig, n: int):
     return lam_sr, lam_rd, redraws
 
 
-def _seeded_block_gains(seed: int, block: int, config: AntennaConfig, n: int):
-    """``_block_gains`` of one block's own substream; what a worker runs."""
-    return _block_gains(make_rng(seed, block), config, n)
+def _block_failures(seed: int, block: int, config: AntennaConfig, n: int,
+                    scales_sr: np.ndarray, scales_rd: np.ndarray, gamma_t: float):
+    """Failure counts at every grid point, and redraws, of one block's own
+    substream; what a worker runs."""
+    lam_sr, lam_rd, redraws = _block_gains(make_rng(seed, block), config, n)
+    return outage_from_gains((lam_sr, lam_rd), scales_sr, scales_rd, gamma_t), redraws
 
 
 #: This process's pool of block workers; made by ``_block_pool`` on first
@@ -357,40 +369,68 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_blocks(seed: int, config: AntennaConfig, sizes: list[int]) -> list:
-    """``_seeded_block_gains`` of every block, in block order."""
-    args = (repeat(seed), range(len(sizes)), repeat(config), sizes)
+def _run_blocks(seed: int, config: AntennaConfig, sizes: list[int],
+                scales_sr: np.ndarray, scales_rd: np.ndarray, gamma_t: float):
+    """``_block_failures`` of every block, yielded in block order.
+
+    Every work item shares the one pair of scale arrays.  The pool gets at
+    most BLOCKS_AHEAD_PER_WORKER blocks per worker beyond those yielded.
+    """
+    work = zip(repeat(seed), range(len(sizes)), repeat(config), sizes,
+               repeat(scales_sr), repeat(scales_rd), repeat(gamma_t))
     pool = _block_pool() if len(sizes) > 1 else None
     if pool is None:
-        return list(map(_seeded_block_gains, *args))
+        yield from starmap(_block_failures, work)
+        return
     from concurrent.futures import BrokenExecutor
 
+    ahead = BLOCKS_AHEAD_PER_WORKER * _usable_cpus()
+    pending = deque()
     try:
-        return list(pool.map(_seeded_block_gains, *args))
+        while True:
+            pending.extend(pool.submit(_block_failures, *args)
+                           for args in islice(work, ahead - len(pending)))
+            if not pending:
+                return
+            yield pending.popleft().result()
     except BrokenExecutor:
         _close_pool()  # a broken pool takes no more work; the next run forks anew
         raise
+    finally:
+        for future in pending:  # after an error, or when the caller stops early
+            future.cancel()
 
 
-def link_gain_samples(config: AntennaConfig, trials: int, seed: int):
-    """Unit-scale (SR, RD) gain samples for ``trials`` independent fades.
+def link_gain_samples(config: AntennaConfig, trials: int, seed: int,
+                      scales_sr, scales_rd, gamma_t: float) -> tuple[np.ndarray]:
+    """Outage counts of ``trials`` independent fades at each point of a curve.
 
-    Deterministic in (config, trials, seed), whatever the CPU count.
-    Multiply by each hop's scale (effective power times average SNR) to
-    obtain instantaneous SNR samples.
+    A point is a pair of hop scales (effective power times average SNR)
+    from ``scales_sr`` and ``scales_rd``; a trial is in outage there when
+    ``outage_from_gains`` says so.  Returns ``(failures,)``, a tuple that
+    further per-point sums can join: one int64 count per point,
+    deterministic in (config, trials, seed), whatever the CPU count.  Each
+    block's unit-scale gains are drawn, thresholded and dropped in the
+    process that drew them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    scales_sr = np.asarray(scales_sr, dtype=float)
+    scales_rd = np.asarray(scales_rd, dtype=float)
     sizes = [min(BLOCK_SIZE, trials - start) for start in range(0, trials, BLOCK_SIZE)]
-    parts_sr, parts_rd, block_redraws = zip(*_run_blocks(seed, config, sizes))
-    redraws = sum(block_redraws)
+    failures = np.zeros(scales_sr.size, dtype=np.int64)
+    redraws = 0
+    for block_failures, block_redraws in _run_blocks(seed, config, sizes,
+                                                     scales_sr, scales_rd, gamma_t):
+        failures += block_failures
+        redraws += block_redraws
     if redraws:
         log.warning("redrew %d degenerate trial(s) of %d", redraws, trials)
         if redraws > trials * MAX_REDRAW_FRACTION:
             raise DegenerateChannelError(
                 f"{redraws} degenerate trials out of {trials} exceeds tolerance"
             )
-    return np.concatenate(parts_sr), np.concatenate(parts_rd)
+    return (failures,)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -409,25 +449,20 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     return lo, hi
 
 
-def outage_from_gains(gains, scale_sr: float, scale_rd: float, gamma_t: float,
-                      z: float = Z_95) -> tuple[float, float, float]:
-    """Empirical end-to-end outage of unit-scale (SR, RD) gain samples at
-    the hop scales ``scale_sr`` and ``scale_rd``.
+def outage_from_gains(gains, scales_sr, scales_rd, gamma_t: float) -> np.ndarray:
+    """Outage counts of unit-scale (SR, RD) gain samples at each point of a
+    curve, the pairs of hop scales ``zip(scales_sr, scales_rd)``.
 
     A trial fails iff either hop's SNR is below ``gamma_t``, which is the
-    same event as min(snr_sr, snr_rd) < gamma_t.  Returns
-    ``(p_hat, ci_low, ci_high)`` with a Wilson interval at quantile ``z``.
-
-    Counts SUB_BATCH trials at a time: temporaries of a whole run are large
-    enough for malloc to map fresh pages for each one, and in a process
-    whose blocks ran in workers nothing has raised that threshold, so a
-    whole-run pass spends most of its time faulting pages in.
+    same event as min(snr_sr, snr_rd) < gamma_t.  Returns one int64 count
+    per point.  Counts SUB_BATCH trials at a time, so that the temporaries
+    of every point stay small and in cache.
     """
     lam_sr, lam_rd = gains
-    failures = 0
+    failures = np.zeros(len(scales_sr), dtype=np.int64)
     for start in range(0, lam_sr.size, SUB_BATCH):
-        part = slice(start, start + SUB_BATCH)
-        snr_min = np.minimum(scale_sr * lam_sr[part], scale_rd * lam_rd[part])
-        failures += int(np.count_nonzero(snr_min < gamma_t))
-    trials = lam_sr.size
-    return (failures / trials, *wilson_interval(failures, trials, z))
+        part_sr, part_rd = lam_sr[start:start + SUB_BATCH], lam_rd[start:start + SUB_BATCH]
+        for i, (scale_sr, scale_rd) in enumerate(zip(scales_sr, scales_rd)):
+            snr_min = np.minimum(scale_sr * part_sr, scale_rd * part_rd)
+            failures[i] += np.count_nonzero(snr_min < gamma_t)
+    return failures

@@ -14,11 +14,7 @@ from scipy import stats
 
 from fdrelay.cli import SLOPE_TOLERANCE, build_curve, fit_high_snr_slope
 from fdrelay.exppoly import ExpPoly
-from fdrelay.mcsim import (
-    link_gain_samples,
-    make_rng,
-    outage_from_gains,
-)
+from fdrelay.mcsim import make_rng, outage_from_gains, wilson_interval
 from fdrelay.outage import (
     AntennaConfig,
     LinkBudget,
@@ -31,6 +27,7 @@ from eig_samplers import sample_wishart_max_eig
 from runs import analytic_curve, make_run
 from zf_reference import (
     draw_trials,
+    gain_samples,
     loopback_direction,
     power_identity_residual,
     projector_law_residual,
@@ -117,14 +114,14 @@ def test_criterion_4_projection_reduction_ks():
     worst = 0.0
     for i, (cols, rows) in enumerate([(2, 2), (2, 3), (3, 3)]):
         rx = AntennaConfig(n_s=cols, n_r1=rows, n_r2=2, n_d=2, mode=ZFMode.RECEIVE)
-        lam_sr, _ = link_gain_samples(rx, TRIALS, seed=200 + i)
+        lam_sr, _ = gain_samples(rx, TRIALS, seed=200 + i)
         direct = sample_wishart_max_eig(
             make_rng(300 + i), WishartDims.of_matrix(rows - 1, cols), TRIALS
         )
         worst = max(worst, stats.ks_2samp(lam_sr, direct).statistic)
 
         tx = AntennaConfig(n_s=2, n_r1=2, n_r2=rows, n_d=cols, mode=ZFMode.TRANSMIT)
-        _, lam_rd = link_gain_samples(tx, TRIALS, seed=400 + i)
+        _, lam_rd = gain_samples(tx, TRIALS, seed=400 + i)
         direct = sample_wishart_max_eig(
             make_rng(500 + i), WishartDims.of_matrix(rows - 1, cols), TRIALS
         )
@@ -144,13 +141,14 @@ def test_criterion_5_closed_form_inside_mc_ci():
     for antennas in CONFIG_SET:
         for mode in MODES:
             cfg = AntennaConfig(*antennas, mode)
-            gains = link_gain_samples(cfg, TRIALS, MC_SEED)
+            gains = gain_samples(cfg, TRIALS, MC_SEED)
             for name, alphas in BUDGET_ALPHAS.items():
                 curve = analytic_curve(antennas, mode, GRID_DB, query, alphas=alphas)
-                for g_db, analytic in zip(GRID_DB, curve):
-                    budget = _budget(g_db, alphas)
-                    _, lo, hi = outage_from_gains(gains, budget.scale_sr, budget.scale_rd,
-                                                  GAMMA_T, z=Z_99)
+                budgets = [_budget(g_db, alphas) for g_db in GRID_DB]
+                failures = outage_from_gains(gains, [b.scale_sr for b in budgets],
+                                             [b.scale_rd for b in budgets], GAMMA_T)
+                for g_db, analytic, k in zip(GRID_DB, curve, failures.tolist()):
+                    lo, hi = wilson_interval(k, TRIALS, z=Z_99)
                     points += 1
                     if not lo <= analytic <= hi:
                         misses.append((antennas, mode.value, name, g_db,

@@ -195,11 +195,21 @@ GOLDEN_MC_CSV_SHA256 = {
 }
 
 
-def test_mc_csv_bytes_are_pinned(tmp_path):
-    for (antennas, mode), digest in GOLDEN_MC_CSV_SHA256.items():
-        grid = tuple(2.0 * i for i in range(16))
-        assert _curve_sha256(tmp_path, antennas, mode, "symmetric", None, 10.0, grid,
-                             trials=4 * mcsim.BLOCK_SIZE, seed=5) == digest, antennas
+def _pooled_then_inline(monkeypatch):
+    """Yield twice: with blocks on the worker pool (where this host has one),
+    then with the inline path forced, as on one CPU."""
+    yield "pooled"
+    with monkeypatch.context() as patch:
+        patch.setattr(mcsim, "_block_pool", lambda: None)
+        yield "inline"
+
+
+def test_mc_csv_bytes_are_pinned(tmp_path, monkeypatch):
+    for path in _pooled_then_inline(monkeypatch):
+        for (antennas, mode), digest in GOLDEN_MC_CSV_SHA256.items():
+            grid = tuple(2.0 * i for i in range(16))
+            assert _curve_sha256(tmp_path, antennas, mode, "symmetric", None, 10.0, grid,
+                                 trials=4 * mcsim.BLOCK_SIZE, seed=5) == digest, (antennas, path)
 
 
 #: As GOLDEN_MC_CSV_SHA256, for (2,3,2,2) receive with 2 blocks of trials,
@@ -211,11 +221,13 @@ GOLDEN_ASYMMETRIC_MC_CSV_SHA256 = {
 }
 
 
-def test_asymmetric_mc_csv_bytes_are_pinned(tmp_path):
-    for asymmetry, digest in GOLDEN_ASYMMETRIC_MC_CSV_SHA256.items():
-        grid = tuple(2.0 * i for i in range(16))
-        assert _curve_sha256(tmp_path, (2, 3, 2, 2), "receive", asymmetry, 1.5, 10.0, grid,
-                             trials=2 * mcsim.BLOCK_SIZE, seed=5, p_s=2.0, p_r=0.5) == digest
+def test_asymmetric_mc_csv_bytes_are_pinned(tmp_path, monkeypatch):
+    for path in _pooled_then_inline(monkeypatch):
+        for asymmetry, digest in GOLDEN_ASYMMETRIC_MC_CSV_SHA256.items():
+            grid = tuple(2.0 * i for i in range(16))
+            assert _curve_sha256(tmp_path, (2, 3, 2, 2), "receive", asymmetry, 1.5, 10.0, grid,
+                                 trials=2 * mcsim.BLOCK_SIZE, seed=5, p_s=2.0,
+                                 p_r=0.5) == digest, (asymmetry, path)
 
 
 def test_sweep_rate_threshold_equivalent(tmp_path):
@@ -265,7 +277,7 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys, key, value):
     ("seed", "-1", "seed must be in [0, 2**128)"),
     ("seed", str(2 ** 128), "seed must be in [0, 2**128)"),
     ("trials", "-3", "trials must be >= 0"),
-    ("trials", str(2 ** 28 + 1), "trials must be <= 2**28"),
+    ("trials", str(2 ** 32 + 1), "trials must be <= 2**32"),
 ])
 def test_sweep_rejects_out_of_range_values(tmp_path, capsys, key, value, message):
     cfg = write_config(tmp_path, **{key: value})
@@ -287,10 +299,14 @@ def test_sweep_rejects_out_of_range_values(tmp_path, capsys, key, value, message
     ("p_r_db", "4000", "p_r_db = 4000.0 is out of range"),
     ("grid_start_db", "-4000", "grid_start_db = -4000.0 is out of range"),
     ("grid_stop_db", "4000", "grid_stop_db = 4000.0 is out of range"),
+    ("alpha_sr", "1e-200", "the sr hop's linear scale alpha_sr**2 * p_s * gammabar is out"),
+    ("alpha_sr", "1e200", "the sr hop's linear scale alpha_sr**2 * p_s * gammabar is out"),
+    ("alpha_rd", "1e-170", "the rd hop's linear scale alpha_rd**2 * p_r * gammabar is out"),
 ])
 def test_sweep_rejects_values_outside_the_linear_range(tmp_path, capsys, key, value, message):
-    # each linear value (10**(dB/10), or 2**R0 - 1) must be finite and > 0;
-    # overflow, underflow to 0 and a zero threshold all exit 2
+    # each linear value (10**(dB/10), or 2**R0 - 1) must be finite and > 0,
+    # and so must each hop's scale across the grid; overflow, underflow to 0
+    # and a zero threshold all exit 2
     threshold = {"gamma_t_db": None} if key == "rate_r0" else {}
     cfg = write_config(tmp_path, **threshold, **{key: value})
     assert main(["sweep", "--config", str(cfg)]) == 2
@@ -305,7 +321,8 @@ def test_sweep_rejects_values_outside_the_linear_range(tmp_path, capsys, key, va
     ("compare", "--seed", str(2 ** 128), "--seed: seed must be in [0, 2**128)"),
     ("sweep", "--trials", "-3", "--trials: trials must be >= 0"),
     ("compare", "--trials", "-1", "--trials: trials must be >= 0"),
-    ("sweep", "--trials", str(2 ** 28 + 1), "--trials: trials must be <= 2**28"),
+    pytest.param("sweep", "--trials", str(2 ** 32 + 1), "--trials: trials must be <= 2**32",
+                 id="sweep---trials-2**32+1"),
 ])
 def test_overrides_are_range_checked(tmp_path, capsys, command, flag, value, message):
     cfg = write_config(tmp_path, grid_start_db=25, grid_stop_db=40, grid_step_db=2.5)
@@ -344,7 +361,7 @@ def test_parse_accepts_largest_grid(tmp_path):
 
 def test_parse_accepts_most_trials(tmp_path):
     # parse only: a run of this size takes minutes
-    assert parse_run_config(write_config(tmp_path, trials=2 ** 28)).trials == cli.MAX_TRIALS
+    assert parse_run_config(write_config(tmp_path, trials=2 ** 32)).trials == cli.MAX_TRIALS
 
 
 def test_sweep_uses_cache_dir(tmp_path):

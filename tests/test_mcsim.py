@@ -37,6 +37,7 @@ from eig_samplers import projected_max_eig_samples, sample_wishart_max_eig
 from runs import make_run
 from zf_reference import (
     draw_trials,
+    gain_samples,
     loopback_direction,
     power_identity_residual,
     projector_law_residual,
@@ -172,20 +173,20 @@ def test_snrs_hand_computed_case():
 
 
 def test_snrs_linear_in_power():
-    gains = link_gain_samples(RX_CFG, 5000, seed=5)
+    gains = gain_samples(RX_CFG, 5000, seed=5)
     base = LinkBudget(p_s=1.5, p_r=2.5, gammabar_sr=3.0, gammabar_rd=7.0)
     quad = LinkBudget(p_s=6.0, p_r=10.0, gammabar_sr=3.0, gammabar_rd=7.0)
     assert quad.scale_sr == 4.0 * base.scale_sr
     assert quad.scale_rd == 4.0 * base.scale_rd
     # four times the power against four times the threshold: the same trials fail
-    est = outage_from_gains(gains, base.scale_sr, base.scale_rd, 20.0)
-    assert 0.0 < est[0] < 1.0
-    assert outage_from_gains(gains, quad.scale_sr, quad.scale_rd, 80.0) == est
+    (failures,) = outage_from_gains(gains, [base.scale_sr], [base.scale_rd], 20.0)
+    assert 0 < failures < 5000
+    assert outage_from_gains(gains, [quad.scale_sr], [quad.scale_rd], 80.0).tolist() == [failures]
 
 
 def test_mean_projected_gain_matches_quadrature():
     # E[max eig] for the reduced 2x2 law is 7/2 by integrating x * f(x)
-    lam_sr, _ = link_gain_samples(RX_CFG, 100_000, seed=21)
+    lam_sr, _ = gain_samples(RX_CFG, 100_000, seed=21)
     assert np.mean(lam_sr) == pytest.approx(3.5, rel=0.01)
 
 
@@ -235,30 +236,29 @@ def test_noise_only_received_power():
 
 def test_outage_from_gains_hand_count():
     gains = (np.array([1.0, 2.0, 3.0, 4.0]), np.array([4.0, 3.0, 2.0, 0.5]))
-    # SNRs min(2 * sr, rd) = (2, 3, 2, 0.5): three of four are below 2.5
-    p_hat, lo, hi = outage_from_gains(gains, 2.0, 1.0, 2.5)
-    assert p_hat == 0.75
-    assert (lo, hi) == wilson_interval(3, 4)
-    z_99 = 2.5758293035489004
-    assert outage_from_gains(gains, 2.0, 1.0, 2.5, z=z_99) == (
-        0.75, *wilson_interval(3, 4, z=z_99))
+    # SNRs min(2 * sr, rd) = (2, 3, 2, 0.5): three of four are below 2.5;
+    # min(sr, 8 * rd) = (1, 2, 3, 4): two; min(4 * sr, 4 * rd) = (4, 8, 8, 2): one
+    failures = outage_from_gains(gains, [2.0, 1.0, 4.0], [1.0, 8.0, 4.0], 2.5)
+    assert failures.dtype == np.int64
+    assert failures.tolist() == [3, 2, 1]
     # the threshold itself is not an outage
-    assert outage_from_gains(gains, 2.0, 1.0, 2.0)[0] == 0.25
+    assert outage_from_gains(gains, [2.0], [1.0], 2.0).tolist() == [1]
+    # counts go on across sub-batches
+    many = tuple(np.tile(g, SUB_BATCH // 2 + 1) for g in gains)
+    assert outage_from_gains(many, [2.0], [1.0], 2.5).tolist() == [3 * (SUB_BATCH // 2 + 1)]
 
 
 def test_estimate_outage_trivial_thresholds():
-    gains = link_gain_samples(RX_CFG, 2000, seed=1)
-    assert outage_from_gains(gains, 1.0, 1.0, 0.0)[0] == 0.0
-    assert outage_from_gains(gains, 1.0, 1.0, 1e12)[0] == 1.0
+    for gamma_t, expected in ((0.0, 0), (1e12, 2000)):
+        assert link_gain_samples(RX_CFG, 2000, 1, [1.0], [1.0], gamma_t)[0].tolist() == [expected]
 
 
 def test_estimate_outage_deterministic():
-    e1 = outage_from_gains(link_gain_samples(RX_CFG, 30_000, seed=77), 10.0, 10.0, 5.0)
-    e2 = outage_from_gains(link_gain_samples(RX_CFG, 30_000, seed=77), 10.0, 10.0, 5.0)
-    assert e1 == e2
-    p_hat, lo, hi = e1
-    assert lo <= p_hat <= hi
-    assert (p_hat * 30_000) == round(p_hat * 30_000)
+    scales = [1.0, 3.0, 10.0]
+    (f1,) = link_gain_samples(RX_CFG, 30_000, 77, scales, scales, 5.0)
+    (f2,) = link_gain_samples(RX_CFG, 30_000, 77, scales, scales, 5.0)
+    assert f1.tolist() == f2.tolist()
+    assert 30_000 > f1[0] > f1[1] > f1[2] > 0
 
 
 def test_estimate_outage_matches_closed_form():
@@ -294,28 +294,32 @@ def test_degenerate_trials_are_redrawn(monkeypatch, caplog):
     monkeypatch.setattr(mcsim, "MAX_REDRAW_FRACTION", 1e-2)
     # three degenerate trials in the block, then one of the redraws again
     calls = _zero_loopback(monkeypatch, [[5, 17, 400], [1]])
-    with caplog.at_level(logging.WARNING, logger=mcsim.__name__):
-        lam_sr, lam_rd = link_gain_samples(RX_CFG, 1000, seed=2)
-    assert calls == [1000, 3, 1]
+    lam_sr, lam_rd, redraws = mcsim._block_gains(make_rng(2), RX_CFG, 1000)
+    assert calls == [1000, 3, 1] and redraws == 4
     assert np.all(np.isfinite(lam_sr)) and np.all(np.isfinite(lam_rd))
     assert np.all(lam_sr > 0.0) and np.all(lam_rd > 0.0)
+    calls.clear()
+    with caplog.at_level(logging.WARNING, logger=mcsim.__name__):
+        (failures,) = link_gain_samples(RX_CFG, 1000, 2, [1.0], [1.0], 1.0)
+    assert calls == [1000, 3, 1]
+    assert failures.tolist() == outage_from_gains((lam_sr, lam_rd), [1.0], [1.0], 1.0).tolist()
     assert "redrew 4 degenerate trial(s) of 1000" in caplog.text
 
 
 def test_degenerate_redraws_beyond_tolerance_raise(monkeypatch):
     _zero_loopback(monkeypatch, [[5, 17, 400]])
     with pytest.raises(DegenerateChannelError, match="exceeds tolerance"):
-        link_gain_samples(RX_CFG, 1000, seed=2)
+        link_gain_samples(RX_CFG, 1000, 2, [1.0], [1.0], 1.0)
 
 
 def test_persistent_degenerate_trials_raise(monkeypatch):
     _zero_loopback(monkeypatch, None)
     with pytest.raises(DegenerateChannelError, match="persistent"):
-        link_gain_samples(RX_CFG, 100, seed=2)
+        link_gain_samples(RX_CFG, 100, 2, [1.0], [1.0], 1.0)
 
 
 def _reference_gains(config, trials, seed):
-    """link_gain_samples rebuilt with einsum and LAPACK, block by block."""
+    """``gain_samples`` rebuilt with einsum and LAPACK, block by block."""
     def randn_c(rng, shape):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
@@ -351,7 +355,7 @@ def test_gain_samples_match_lapack_reference(antennas, mode):
     cfg = AntennaConfig(*antennas, mode)
     trials = 3 * BLOCK_SIZE + 5
     assert trials % SUB_BATCH
-    lam_sr, lam_rd = link_gain_samples(cfg, trials, seed=31)
+    lam_sr, lam_rd = gain_samples(cfg, trials, seed=31)
     ref_sr, ref_rd = _reference_gains(cfg, trials, seed=31)
     assert lam_sr.shape == lam_rd.shape == (trials,)
     assert np.max(np.abs(lam_sr - ref_sr) / ref_sr) <= 1e-12
@@ -367,7 +371,7 @@ def test_gain_kernel_checks_zf_null(monkeypatch, mode):
 
     monkeypatch.setattr(mcsim, "_project_off", leaky)
     with pytest.raises(DegenerateChannelError, match="ZF null"):
-        link_gain_samples(AntennaConfig(2, 3, 3, 2, mode), 100, seed=3)
+        link_gain_samples(AntennaConfig(2, 3, 3, 2, mode), 100, 3, [1.0], [1.0], 1.0)
 
 
 #: Whether runs of two or more blocks go to worker processes on this host.
@@ -379,14 +383,41 @@ POOLED = mcsim._usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_me
     ((2, 2, 3, 2), ZFMode.TRANSMIT, 3 * BLOCK_SIZE + 5),
     ((4, 5, 4, 4), ZFMode.RECEIVE, 2 * BLOCK_SIZE),  # LAPACK inside the workers
 ])
-def test_pooled_gains_are_bitwise_inline_blocks(antennas, mode, trials):
+def test_pooled_gains_are_bitwise_inline_blocks(monkeypatch, antennas, mode, trials):
+    # counts of the pool's blocks, of inline blocks and of whole-run gains
+    # thresholded here agree at every point of a 0-30 dB curve
     cfg = AntennaConfig(*antennas, mode)
-    lam_sr, lam_rd = link_gain_samples(cfg, trials, seed=37)
+    scales_sr = [10.0 ** (0.2 * i) for i in range(16)]
+    scales_rd = [0.5 * s for s in scales_sr]
+    (pooled,) = link_gain_samples(cfg, trials, 37, scales_sr, scales_rd, 10.0)
     assert (mcsim._pool is not None) == POOLED
-    blocks = [mcsim._block_gains(make_rng(37, block), cfg, min(BLOCK_SIZE, trials - start))
-              for block, start in enumerate(range(0, trials, BLOCK_SIZE))]
-    assert lam_sr.tobytes() == np.concatenate([b[0] for b in blocks]).tobytes()
-    assert lam_rd.tobytes() == np.concatenate([b[1] for b in blocks]).tobytes()
+    monkeypatch.setattr(mcsim, "_block_pool", lambda: None)
+    (inline,) = link_gain_samples(cfg, trials, 37, scales_sr, scales_rd, 10.0)
+    lam_sr, lam_rd = gain_samples(cfg, trials, 37)
+    expected = [int(np.count_nonzero(np.minimum(s_sr * lam_sr, s_rd * lam_rd) < 10.0))
+                for s_sr, s_rd in zip(scales_sr, scales_rd)]
+    assert pooled.tolist() == inline.tolist() == expected
+    assert len(set(expected)) >= 5  # the curve crosses the threshold
+
+
+@pytest.mark.skipif(not POOLED, reason="blocks run inline on this host")
+def test_pool_gets_a_bounded_number_of_blocks_ahead(monkeypatch):
+    # the parent's pending work must not grow with the number of blocks
+    pool, submitted = mcsim._block_pool(), []
+
+    class CountingPool:
+        def submit(self, fn, *args):
+            submitted.append(args[1])
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(mcsim, "_block_pool", CountingPool)
+    ahead = mcsim.BLOCKS_AHEAD_PER_WORKER * mcsim._usable_cpus()
+    sizes, scales = [500] * (3 * ahead), np.array([1.0, 10.0])
+    blocks = mcsim._run_blocks(1, RX_CFG, sizes, scales, scales, 5.0)
+    for done, (failures, _) in enumerate(blocks, start=1):
+        assert len(submitted) == min(len(sizes), done - 1 + ahead)
+        assert failures.shape == (2,)
+    assert submitted == list(range(len(sizes)))
 
 
 # Forked workers keep the module state of the moment the pool starts, so a
@@ -402,7 +433,7 @@ def leaky(h, unit):
 mcsim._project_off = leaky
 cfg = AntennaConfig(2, 3, 3, 2, ZFMode(sys.argv[1]))
 for run in (lambda: mcsim._block_gains(mcsim.make_rng(3, 0), cfg, mcsim.BLOCK_SIZE),
-            lambda: mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 3)):
+            lambda: mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 3, [1.0], [1.0], 1.0)):
     try:
         run()
     except Exception as exc:
@@ -428,7 +459,8 @@ import multiprocessing, os, signal
 from fdrelay import mcsim
 from fdrelay.outage import AntennaConfig, ZFMode
 
-mcsim.link_gain_samples(AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE), 2 * mcsim.BLOCK_SIZE, 1)
+mcsim.link_gain_samples(AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE), 2 * mcsim.BLOCK_SIZE, 1,
+                        [1.0], [1.0], 1.0)
 print(*[p.pid for p in multiprocessing.active_children()], flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -467,10 +499,11 @@ from fdrelay import mcsim
 from fdrelay.outage import AntennaConfig, ZFMode
 
 cfg = AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE)
-gains = mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 1)[0].tobytes()
+curve = ([1.0, 10.0], [1.0, 10.0], 5.0)
+failures = mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 1, *curve)[0].tobytes()
 pid = os.fork()
 if pid == 0:
-    same = mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 1)[0].tobytes() == gains
+    same = mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 1, *curve)[0].tobytes() == failures
     os._exit(0 if same else 1)
 print(os.waitpid(pid, 0)[1])
 """
@@ -485,18 +518,55 @@ def test_forked_child_makes_its_own_pool():
     assert result.stdout.split() == ["0"]
 
 
+# The parent's peak RSS after a 2**18-trial curve and again after a
+# 2**22-trial one; argv[1] == "inline" pins the process to one CPU first.
+PARENT_MEMORY = """
+import os, resource, sys
+if sys.argv[1] == "inline":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from fdrelay import cli, mcsim
+from fdrelay.outage import AntennaConfig, OutageQuery, ZFMode
+
+def peak_after(trials):
+    cli.build_curve(cli.RunConfig(
+        antenna=AntennaConfig(1, 2, 1, 1, ZFMode.RECEIVE), query=OutageQuery.snr(10.0),
+        grid_db=(0.0, 10.0, 20.0, 30.0), p_s=1.0, p_r=1.0, alpha_sr=1.0, alpha_rd=1.0,
+        trials=trials, seed=3, out_csv=None, asymmetry="symmetric", asymmetry_ratio=None))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+small, large = peak_after(2 ** 18), peak_after(2 ** 22)
+print("pooled" if mcsim._pool else "inline", (large - small) / 1024)
+"""
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param("pooled", marks=pytest.mark.skipif(not POOLED, reason="blocks run inline")),
+    pytest.param("inline", marks=pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                                    reason="needs sched_setaffinity")),
+])
+def test_parent_memory_does_not_grow_with_trials(path):
+    # 16 trials more take 256 bytes of gains; no process keeps them past
+    # their block, so the parent's peak stays put
+    result = subprocess.run([sys.executable, "-c", PARENT_MEMORY, path],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    ran, growth_mb = result.stdout.split()
+    assert ran == path
+    assert float(growth_mb) < 4.0
+
+
 def test_gain_samples_reject_bad_trials_argument():
     with pytest.raises(ValueError):
-        link_gain_samples(RX_CFG, 0, seed=1)
+        link_gain_samples(RX_CFG, 0, 1, [1.0], [1.0], 1.0)
 
 
 def test_gain_samples_block_invariance():
-    # totals must not depend on how many blocks the request spans
-    lam_sr, lam_rd = link_gain_samples(RX_CFG, 300, seed=5)
-    assert lam_sr.shape == lam_rd.shape == (300,)
-    again_sr, again_rd = link_gain_samples(RX_CFG, 300, seed=5)
-    np.testing.assert_array_equal(lam_sr, again_sr)
-    np.testing.assert_array_equal(lam_rd, again_rd)
+    # a run of part of a block counts that part-block's gains
+    (failures,) = link_gain_samples(RX_CFG, 300, 5, [1.0, 10.0], [1.0, 10.0], 5.0)
+    assert failures.shape == (2,)
+    lam_sr, lam_rd = gain_samples(RX_CFG, 300, 5)
+    assert failures.tolist() == [int(np.count_nonzero(np.minimum(s * lam_sr, s * lam_rd) < 5.0))
+                                 for s in (1.0, 10.0)]
 
 
 # -- confidence intervals ---------------------------------------------------------------

@@ -1,14 +1,31 @@
-"""Test-side references for the batched ZF kernel's beamformers.
+"""Test-side references for the batched ZF kernel's beamformers and gains.
 
 Channels are sampled as (n, rows, cols) and beams come from ``_zf_trials``
 as (length, n).  Everything here is plain einsum code, independent of the
-kernel's own column-product arithmetic.
+kernel's own column-product arithmetic.  ``gain_samples`` gives the
+unit-scale gains of a whole run, which the simulator itself only counts.
 """
 
 import numpy as np
 
-from fdrelay.mcsim import _project_off, _sample_arrays, _soa, _zf_trials, make_rng
+from fdrelay.mcsim import (
+    BLOCK_SIZE,
+    _block_gains,
+    _project_off,
+    _sample_arrays,
+    _soa,
+    _zf_trials,
+    make_rng,
+)
 from fdrelay.outage import ZFMode
+
+
+def gain_samples(config, trials, seed):
+    """Unit-scale (lam_sr, lam_rd) of a ``trials``-trial run at ``seed``:
+    each block's ``_block_gains`` on its own substream, in block order."""
+    blocks = [_block_gains(make_rng(seed, block), config, min(BLOCK_SIZE, trials - start))
+              for block, start in enumerate(range(0, trials, BLOCK_SIZE))]
+    return tuple(np.concatenate(part) for part in list(zip(*blocks))[:2])
 
 
 def draw_trials(config, n, seed):
