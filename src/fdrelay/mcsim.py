@@ -53,6 +53,10 @@ MAX_REDRAW_FRACTION = 1e-5
 
 #: Trials per pass of the gain kernel and of the failure count within one
 #: RNG block; bounds their temporaries without moving any block boundary.
+#: The kernel's float results depend on it above 2**13: 2**11 to 2**13 give
+#: identical bits, but at 2**14 the (3,4,3,3) receive near-hop gains of a
+#: block move in their last bits (270 of 16,384 trials, at most 5.2e-16
+#: relative).  So raising it moves fixed-seed numbers.
 SUB_BATCH = 1 << 13
 
 #: Blocks handed to the pool per worker ahead of the block whose counts the

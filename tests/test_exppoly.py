@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given, settings
 
 from det_reference import det_cofactor
-from fdrelay.exppoly import ExpPoly, InexactDivisionError, _peel, determinant
+from exppoly_eval import evaluate
+from fdrelay import exppoly
+from fdrelay.exppoly import (
+    ExpPoly, InexactDivisionError, _divide, _pack, _quotient, _slices, determinant,
+)
 from fdrelay.wishart import gram_entries, lower_gamma_poly, WishartDims
 
 
@@ -21,6 +25,9 @@ def ep(d):
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
 keys = st.tuples(st.integers(0, 3), st.integers(0, 3))
 exppolys = st.builds(ExpPoly, st.dictionaries(keys, rationals, max_size=5))
+#: Coefficients up to +-2**200 over denominators up to 2**40.
+huge_rationals = st.builds(F, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 40))
+huge_exppolys = st.builds(ExpPoly, st.dictionaries(keys, huge_rationals, max_size=4))
 
 
 # -- construction and canonical form -----------------------------------------
@@ -130,7 +137,7 @@ def test_det_gamma_2x2_exact_and_numeric():
     assert det == ep({(0, 0): 1, (1, 2): -1, (1, 0): -2, (2, 0): 1})
     for lam in (0.1, 0.7, 2.0, 5.5, 11.0):
         direct = 1.0 - (lam ** 2 + 2.0) * math.exp(-lam) + math.exp(-2.0 * lam)
-        assert det(lam) == pytest.approx(direct, rel=1e-12, abs=1e-15)
+        assert evaluate(det, lam) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
 def test_det_rejects_non_square():
@@ -160,6 +167,17 @@ def test_det_equal_rows_vanishes(n, data):
 @settings(max_examples=40)
 def test_bareiss_matches_cofactor(n, data):
     rows = [[data.draw(exppolys) for _ in range(n)] for _ in range(n)]
+    assert determinant(rows) == det_cofactor(rows)
+
+
+@given(st.integers(2, 5), st.data())
+@settings(max_examples=30)
+def test_bareiss_matches_cofactor_with_huge_coefficients(n, data):
+    # stresses the slot widths; row 0 opens with zeros, so its zero pivots
+    # swap it down past as many rows
+    rows = [[data.draw(huge_exppolys) for _ in range(n)] for _ in range(n)]
+    zeros = data.draw(st.integers(1, n - 1))
+    rows[0][:zeros] = [ExpPoly.zero()] * zeros
     assert determinant(rows) == det_cofactor(rows)
 
 
@@ -207,14 +225,50 @@ def test_large_matrix_uses_bareiss_path():
 # -- exact division -----------------------------------------------------------------
 
 
-def test_integer_peel_checks_each_coefficient():
+def _packed(terms, w=16):
+    return _pack(_slices(ExpPoly(terms), 1), w)
+
+
+def test_packed_division_checks_each_coefficient():
     # integer elimination divides coefficients exactly or not at all
-    assert _peel({(1, 1): 6, (0, 1): 4}, {(0, 1): 2}) == {(1, 0): 3, (0, 0): 2}
+    assert _divide(_packed({(1, 1): 6, (0, 1): 4}), _packed({(0, 1): 2})) == _packed(
+        {(1, 0): 3, (0, 0): 2})
     with pytest.raises(InexactDivisionError):
-        _peel({(1, 1): 6, (0, 1): 3}, {(0, 1): 2})
+        _divide(_packed({(1, 1): 6, (0, 1): 3}), _packed({(0, 1): 2}))
     # a remainder whose leading term the divisor's lead does not divide
     with pytest.raises(InexactDivisionError):
-        _peel({(0, 1): 1, (0, 0): 1}, {(1, 0): 1})
+        _divide(_packed({(0, 1): 1, (0, 0): 1}), _packed({(1, 0): 1}))
+
+
+def test_quotient_rejects_a_packed_division_that_is_not_polynomial():
+    # (x + 2) / 2 has no integer quotient, but 2**8 + 2 is even: the packed
+    # quotient 2**7 + 1 reads back as x - 127, which times 2 leaves the slots
+    den = _packed({(0, 0): 2}, 8)
+    num = _packed({(0, 1): 1, (0, 0): 2}, 8)
+    assert _divide(num, den) == {0: 2 ** 7 + 1}
+    with pytest.raises(InexactDivisionError, match="quotient does not fit"):
+        _quotient(num, 2, den, 2, 8)
+    exact = _packed({(0, 1): 2, (0, 0): 4}, 8)
+    assert _quotient(exact, 4, den, 2, 8) == ({0: [2, 1]}, (3, 2))
+
+
+def test_too_narrow_slots_raise_and_never_give_a_wrong_determinant(monkeypatch):
+    # incomplete gammas, whose minors outgrow the entries; every width from
+    # the bounds' own down to one bit either checks out or raises
+    m = [[lower_gamma_poly(i + j + 1) * F(1, i + 1) for j in range(4)] for i in range(4)]
+    exact = det_cofactor(m)
+    real_width = exppoly._slot_width
+    raised = set()
+    for cut in range(64):
+        monkeypatch.setattr(exppoly, "_slot_width",
+                            lambda bound, cut=cut: max(1, real_width(bound) - cut))
+        try:
+            result = determinant(m)
+        except InexactDivisionError as exc:
+            raised.add(str(exc).split(" does not fit")[0])
+        else:
+            assert result == exact, cut
+    assert raised == {"division", "quotient"}
 
 
 # -- ring axioms ---------------------------------------------------------------------
@@ -287,11 +341,11 @@ def test_extended_precision_eval_matches_exact(dims):
 def test_call_supports_arrays():
     p = ep({(1, 1): 1, (0, 0): 2})
     xs = np.array([0.0, 1.0, 3.0])
-    vals = p(xs)
+    vals = evaluate(p, xs)
     assert vals.shape == (3,)
     assert vals[0] == pytest.approx(2.0)
     assert vals[1] == pytest.approx(2.0 + math.exp(-1.0))
-    assert p(1.0) == pytest.approx(vals[1])
+    assert evaluate(p, 1.0) == pytest.approx(vals[1])
 
 
 def test_sum_builtin_compatible():

@@ -205,6 +205,19 @@ def test_batch_and_scalar_paths_agree():
             assert one_rd[0] == pytest.approx(lam_rd[i], rel=1e-12)
 
 
+def test_sub_batch_sizes_up_to_8192_give_identical_bits(monkeypatch):
+    # fixed-seed numbers must not depend on SUB_BATCH; at 2**14 those of
+    # (3,4,3,3) receive would
+    for cfg in (RX_CFG, TX_CFG, AntennaConfig(3, 4, 3, 3, ZFMode.RECEIVE)):
+        channels = _sample_arrays(make_rng(3), cfg, 1 << 14)
+        gains = []
+        for size in sorted({1 << 11, 1 << 12, 1 << 13, SUB_BATCH}):
+            monkeypatch.setattr(mcsim, "SUB_BATCH", size)
+            gains.append(_gains_from_channels(*channels, cfg.mode))
+        for other in gains[1:]:
+            assert all(np.array_equal(x, y) for x, y in zip(gains[0], other)), (cfg, size)
+
+
 # -- power identities ----------------------------------------------------------------
 
 

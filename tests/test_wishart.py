@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from scipy import integrate
 
+from exppoly_eval import evaluate
 from fdrelay import wishart
 from fdrelay.exppoly import ExpPoly
 from fdrelay.wishart import (
@@ -73,7 +74,7 @@ def test_lower_gamma_poly_matches_quadrature():
     p = lower_gamma_poly(3)
     for lam in (0.3, 1.0, 2.5, 7.0):
         ref, err = integrate.quad(lambda t: t ** 2 * math.exp(-t), 0.0, lam)
-        assert p(lam) == pytest.approx(ref, rel=1e-10, abs=max(err, 1e-13))
+        assert evaluate(p, lam) == pytest.approx(ref, rel=1e-10, abs=max(err, 1e-13))
 
 
 # -- densities -----------------------------------------------------------------------
@@ -88,7 +89,7 @@ def test_density_erlang_two():
     assert max_eig_density(WishartDims(1, 2)) == ep({(1, 1): 1})
     grid = np.linspace(0.0, 12.0, 40)
     erlang2 = grid * np.exp(-grid)
-    assert np.allclose(max_eig_density(WishartDims(1, 2))(grid), erlang2, atol=1e-14)
+    assert np.allclose(evaluate(max_eig_density(WishartDims(1, 2)), grid), erlang2, atol=1e-14)
 
 
 def test_density_2x2():
@@ -104,14 +105,14 @@ def test_density_properties(dims):
     density = max_eig_density(dims)
     cdf = max_eig_cdf(dims)
     grid = np.arange(0.0, 50.0, 0.01)
-    assert np.all(density(grid) >= -1e-12)
+    assert np.all(evaluate(density, grid) >= -1e-12)
     # CDF anchored at 0 and 1, with exactly one non-decaying term
-    assert cdf(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert evaluate(cdf, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert dict(cdf.items()).get((0, 0), 0) == 1
     assert all(k == (0, 0) for k, _ in cdf.items() if k[0] == 0)
-    vals = cdf(grid)
+    vals = evaluate(cdf, grid)
     assert np.all(np.diff(vals) >= -1e-12)
-    assert cdf(200.0) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate(cdf, 200.0) == pytest.approx(1.0, abs=1e-12)
     assert cdf.differentiate() == density
 
 
@@ -174,8 +175,9 @@ def test_extract_6x6_exact():
     assert table.density() == max_eig_density(WishartDims(6, 6))
 
 
-#: sha256 of the ``save_table`` file for the benchmark's 15 cold-table dims
-#: and every a <= 4, b <= 7, pinned from exact rational elimination.
+#: sha256 of the ``save_table`` file for the benchmark's 15 cold-table dims,
+#: every a <= 4, b <= 7, and 8x8 and 9x9, pinned from elimination on term
+#: dicts (rational, then integer), before packed integers.
 GOLDEN_TABLE_SHA256 = {
     (1, 1): "7cbfa90b894bbddf37d92e3158e1057ccf16c1dfbd33d5e06344fa9df0e0cdff",
     (1, 2): "42b61a2504261c16101146faab04b15cb1ec717bc7e83b8e21b41731ae7ef5e3",
@@ -204,6 +206,8 @@ GOLDEN_TABLE_SHA256 = {
     (6, 6): "c05489f5536793fdb57828500d42434bad3735a3c13136424c8c99d696b78f9c",
     (6, 7): "9326f2a13051523ee3379c29d3c243f0bc81a79c39344e17f68c4e33bced8d51",
     (7, 7): "fe290b7fa7f8f7e70ade24af4fb784ba4a0dfd6928905edebd1b863ed1028669",
+    (8, 8): "ec276caef3f032a8aea0202cb438c0601c00bc65f2efe0663b2417b524f1d6f4",
+    (9, 9): "efa1e04fbb059468f60f5bcbc070d804422428c401c08efa3a3920b4fdb8c951",
 }
 
 
