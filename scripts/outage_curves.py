@@ -60,13 +60,8 @@ def run_config(antennas, mode, budget_key, args):
         antenna=AntennaConfig(*antennas, mode),
         query=OutageQuery.snr(10.0 ** (gamma_t_db / 10.0)),
         grid_db=grid,
-        p_s=1.0,
-        p_r=1.0,
-        alpha_sr=1.0,
-        alpha_rd=1.0,
         trials=args.trials,
         seed=args.seed,
-        out_csv=None,
         asymmetry=asymmetry,
         asymmetry_ratio=ratio,
     )

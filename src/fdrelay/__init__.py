@@ -3,7 +3,6 @@ zero-forcing beamforming: exact closed forms plus a Monte Carlo validator."""
 
 from .exppoly import ExpPoly, determinant
 from .mcsim import (
-    BeamformerSet,
     DegenerateChannelError,
     link_gain_samples,
     make_rng,

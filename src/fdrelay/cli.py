@@ -1,5 +1,5 @@
 """Command-line front end: coefficient cache management, SNR sweeps,
-analytic-vs-Monte-Carlo comparison, and diversity-order slope checks.
+analytic-vs-Monte-Carlo comparison, and exact diversity-order checks.
 
 All dB <-> linear conversion happens here, at the boundary; the library
 modules are linear-scale only.  Run configurations are flat ``key = value``
@@ -17,10 +17,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Tuple
-
-import numpy as np
 
 from . import mcsim
 from .outage import (
@@ -41,6 +40,7 @@ from .wishart import (
     NonzeroResidualError,
     WishartDims,
     cached_table,
+    cdf_taylor,
     extract_coefficients,
     load_table,
     save_table,
@@ -48,7 +48,6 @@ from .wishart import (
 
 CACHE_DIR_ENV = "FDRELAY_CACHE_DIR"
 CSV_HEADER = "gammabar_db,analytic,mc,ci_low,ci_high"
-SLOPE_TOLERANCE = 0.3
 #: Longest SNR grid a run config may ask for: 0.01 dB steps across 100 dB.
 #: Finer curves show nothing new, and every point costs a closed-form
 #: evaluation and, in each Monte Carlo block, a pass over that block's gains.
@@ -87,15 +86,15 @@ class RunConfig:
     antenna: AntennaConfig
     query: OutageQuery
     grid_db: Tuple[float, ...]
-    p_s: float
-    p_r: float
-    alpha_sr: float
-    alpha_rd: float
-    trials: int
-    seed: int
-    out_csv: Optional[str]
-    asymmetry: str
-    asymmetry_ratio: Optional[float]
+    p_s: float = 1.0
+    p_r: float = 1.0
+    alpha_sr: float = 1.0
+    alpha_rd: float = 1.0
+    trials: int = 0
+    seed: int = 0
+    out_csv: Optional[str] = None
+    asymmetry: str = "symmetric"
+    asymmetry_ratio: Optional[float] = None
 
     def resolved_alphas(self) -> Tuple[float, float]:
         """Path-loss amplitudes after applying the asymmetry shorthand.
@@ -178,7 +177,7 @@ def parse_run_config(path: str | Path) -> RunConfig:
     """Parse a flat ``key = value`` run configuration file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     raw: dict[str, str] = {}
@@ -468,32 +467,49 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def fit_high_snr_slope(curve: OutageCurve, span_db: float = 10.0) -> float:
-    """Least-squares slope of log10(outage) vs log10(avg SNR) over the top
-    ``span_db`` of the grid."""
-    top = curve.rows[-1].gammabar_db - span_db
-    pts = [(r.gammabar_db / 10.0, math.log10(r.analytic))
-           for r in curve.rows if r.gammabar_db >= top - 1e-9 and r.analytic > 0.0]
-    if len(pts) < 2:
-        raise ConfigError("not enough high-SNR points to fit a slope")
-    xs, ys = zip(*pts)
-    return float(np.polyfit(xs, ys, 1)[0])
+@dataclass(frozen=True)
+class DiversityCheck:
+    """Exact high-SNR law of a run; ``str`` gives its ``fdrelay diversity`` line."""
+
+    predicted: int  # outage.diversity_order: the paper's formula
+    hop_orders: Tuple[Optional[int], Optional[int]]  # (sr, rd): first j <= ab with t_j != 0
+    coding_gain_db: Optional[float]  # if ok: outage ~ (G_c * gammabar) ** -predicted
+    ok: bool
+
+    def __str__(self) -> str:
+        gain = "" if self.coding_gain_db is None else f", coding gain {self.coding_gain_db:+.3f} dB"
+        return (f"predicted order {self.predicted}, exact hop orders sr {self.hop_orders[0]} "
+                f"rd {self.hop_orders[1]}{gain} -> {'PASS' if self.ok else 'FAIL'}")
+
+
+def exact_diversity(run: RunConfig, cache_dir: Optional[Path] = None) -> DiversityCheck:
+    """Hop orders and coding gain from the exact CDF Taylor coefficients t_j.
+    An a x b hop's outage is t_ab x^ab + O(x^{ab+1}) at x = gamma_t / scale, so with d
+    the smaller ab, outage ~ (G_c gammabar)^-d where G_c^-d sums t_ab (gamma_t / unit
+    scale)^d over the hops of order d, exactly: at 9x9 its float terms can underflow."""
+    units = dataclasses.replace(run, grid_db=(0.0,)).hop_scales()  # scales at gammabar = 1
+    hops = []
+    for link, (unit,) in zip(("sr", "rd"), units):
+        dims = link_dims(run.antenna, link)
+        ab = dims.a * dims.b
+        t = cdf_taylor(load_or_compute_table(dims, cache_dir)[0], ab)
+        hops.append((ab, next((j for j, c in enumerate(t) if c), None), t[ab], unit))
+    d, predicted = min(ab for ab, _, _, _ in hops), diversity_order(run.antenna)
+    ok = d == predicted and all(o == ab and t > 0 for ab, o, t, _ in hops)
+    gain_db = None
+    if ok:
+        gamma_t = Fraction(run.query.snr_threshold())
+        s = sum(t * (gamma_t / Fraction(unit)) ** d for ab, _, t, unit in hops if ab == d)
+        gain_db = 10.0 * (math.log(s.denominator) - math.log(s.numerator)) / (d * math.log(10.0))
+    return DiversityCheck(predicted, tuple(o for _, o, _, _ in hops), gain_db, ok)
 
 
 def cmd_diversity(args: argparse.Namespace) -> int:
     run = _load_run(args)
-    if run.grid_db[-1] - run.grid_db[0] < 10.0 - 1e-9:
-        raise ConfigError("diversity needs a grid covering at least 10 dB")
-    run = dataclasses.replace(run, trials=0)
-    curve = build_curve(run, resolve_cache_dir(args.cache_dir))
-    predicted = diversity_order(run.antenna)
-    slope = fit_high_snr_slope(curve)
-    ok = abs(slope - (-predicted)) <= SLOPE_TOLERANCE
+    check = exact_diversity(run, resolve_cache_dir(args.cache_dir))
     a = run.antenna
-    print(f"config ({a.n_s},{a.n_r1},{a.n_r2},{a.n_d}) {a.mode.value}: "
-          f"predicted order {predicted}, fitted slope {slope:+.3f} "
-          f"-> {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_VALIDATION
+    print(f"config ({a.n_s},{a.n_r1},{a.n_r2},{a.n_d}) {a.mode.value}: {check}")
+    return EXIT_OK if check.ok else EXIT_VALIDATION
 
 
 # -- entry point --------------------------------------------------------------
@@ -514,7 +530,7 @@ def make_parser() -> argparse.ArgumentParser:
     for name, helptext in (
         ("sweep", "write an outage-vs-SNR CSV for a run config"),
         ("compare", "z-test the analytic curve against Monte Carlo"),
-        ("diversity", "check the fitted high-SNR slope against the predicted order"),
+        ("diversity", "check the exact hop diversity orders and print the coding gain"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True)

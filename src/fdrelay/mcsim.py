@@ -33,7 +33,6 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from itertools import islice, repeat, starmap
 
 import numpy as np
@@ -82,17 +81,6 @@ Z_95 = 1.959963984540054
 
 class DegenerateChannelError(RuntimeError):
     """A normalization denominator underflowed (or too many did)."""
-
-
-@dataclass(frozen=True)
-class BeamformerSet:
-    """Unit-norm precoding/combining vectors satisfying the ZF null, one
-    column per trial."""
-
-    t_s: np.ndarray  # (n_s, n) source precoder
-    t_d: np.ndarray  # (n_d, n) destination combiner
-    w_r: np.ndarray  # (n_r1, n) relay receive vector
-    w_t: np.ndarray  # (n_r2, n) relay transmit vector
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -235,8 +223,9 @@ def _zf_trials(h_sr, h_rr, h_rd, mode: ZFMode):
     receive ZF and (h_rd, h_sr, h_rr^H) for transmit ZF.
 
     Returns (lam_sr, lam_rd, bad, beams): ``bad`` flags trials whose
-    loopback image underflowed, and ``beams`` holds unit vectors as
-    (length, n).  Raises DegenerateChannelError when another trial's null
+    loopback image underflowed, and ``beams`` is the tuple (t_s, t_d, w_r,
+    w_t) of unit source, destination and relay receive and transmit vectors
+    as (length, n).  Raises DegenerateChannelError when another trial's null
     |w_r^H H_rr w_t| exceeds ZF_NULL_TOL.
     """
     receive = mode is ZFMode.RECEIVE
@@ -257,8 +246,8 @@ def _zf_trials(h_sr, h_rr, h_rd, mode: ZFMode):
     if not worst <= ZF_NULL_TOL:
         raise DegenerateChannelError(f"ZF null residual {worst:.3g} exceeds {ZF_NULL_TOL:g}")
     if receive:
-        return lam_near, lam_far, bad, BeamformerSet(t_s=t_near, t_d=t_far, w_r=w_near, w_t=w_far)
-    return lam_far, lam_near, bad, BeamformerSet(t_s=t_far, t_d=t_near, w_r=w_far, w_t=w_near)
+        return lam_near, lam_far, bad, (t_near, t_far, w_near, w_far)
+    return lam_far, lam_near, bad, (t_far, t_near, w_far, w_near)
 
 
 def _gains_from_channels(h_sr, h_rr, h_rd, mode: ZFMode):

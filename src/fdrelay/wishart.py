@@ -188,6 +188,17 @@ def _extract_from_density(density: ExpPoly, dims: WishartDims) -> Dict[Key, Frac
     return entries
 
 
+def cdf_taylor(table: CoeffTable, order: int) -> list[Fraction]:
+    """Exact Taylor coefficients t_0..t_order at 0 of the CDF, the integral of
+    the density f = sum c[n, m] x^m e^{-n x}: t_0 = 0 and t_j = [x^{j-1}] f / j.
+    They vanish below j = a*b, the hop's diversity order."""
+    density = [0] * order  # density[i] = [x^i] f
+    for (n, m), c in table.density().items():
+        for i in range(order - m):
+            density[m + i] += c * Fraction((-n) ** i, factorial(i))
+    return [Fraction(0)] + [Fraction(d) / (i + 1) for i, d in enumerate(density)]
+
+
 @lru_cache(maxsize=None)
 def cached_table(dims: WishartDims) -> CoeffTable:
     """Process-wide memoised extract_coefficients."""
@@ -242,8 +253,8 @@ def save_table(table: CoeffTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> CoeffTable:
-    """Read a table back; raises on version, checksum, or schema problems."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a table back; raises CacheFormatError on any unreadable content."""
+    text = Path(path).read_text(encoding="utf-8", errors="replace")  # bad bytes fail a check
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 2 or not lines[1].startswith("sha256:"):
         raise CacheFormatError(f"{path}: expected one payload line and one checksum line")
@@ -255,6 +266,8 @@ def load_table(path: str | Path) -> CoeffTable:
         payload = json.loads(body)
     except json.JSONDecodeError as exc:
         raise CacheFormatError(f"{path}: invalid payload: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CacheFormatError(f"{path}: payload is not a JSON object")
     version = payload.get("version")
     if version != CACHE_VERSION:
         raise CacheVersionError(f"{path}: version {version!r}, expected {CACHE_VERSION}")

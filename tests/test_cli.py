@@ -1,6 +1,7 @@
 """Command-line surfaces: config parsing, subcommands, CSV contract."""
 
 import hashlib
+import math
 import multiprocessing
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from fdrelay import cli, mcsim
 from fdrelay.cli import (
     ConfigError,
     build_curve,
-    fit_high_snr_slope,
     main,
     parse_run_config,
 )
@@ -261,6 +261,15 @@ def test_sweep_missing_config_file():
     assert main(["sweep", "--config", "/nonexistent/run.cfg"]) == 2
 
 
+def test_sweep_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot read config {cfg}" in err and "utf-8" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [("gamma_t_db", "nan"), ("grid_stop_db", "inf"),
                                         ("alpha_sr", "-inf")])
 def test_sweep_rejects_non_finite_values(tmp_path, capsys, key, value):
@@ -386,6 +395,27 @@ def test_sweep_replaces_a_cached_table_of_other_dims(tmp_path, capsys):
     assert load_table(cache / "coeff_a2_b3.txt").dims == WishartDims(2, 3)
 
 
+def _checksummed(body):
+    return f"{body}\nsha256:{hashlib.sha256(body.encode()).hexdigest()}\n".encode()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe not text\n", _checksummed("[1]")],
+                         ids=["not-utf8", "not-an-object"])
+def test_sweep_recomputes_an_unreadable_cached_table(tmp_path, capsys, content):
+    cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    expected = (tmp_path / "out.csv").read_bytes()
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "coeff_a2_b2.txt").write_bytes(content)
+    assert main(["sweep", "--config", str(cfg), "--cache-dir", str(cache)]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == expected
+    err = capsys.readouterr().err
+    assert f"warning: ignoring unreadable cache {cache / 'coeff_a2_b2.txt'}" in err
+    assert "Traceback" not in err
+    assert load_table(cache / "coeff_a2_b2.txt").dims == WishartDims(2, 2)
+
+
 # -- compare subcommand ----------------------------------------------------------------
 
 
@@ -470,7 +500,8 @@ def test_diversity_slope_check_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, grid_start_db=25, grid_stop_db=40, grid_step_db=2.5)
     assert main(["diversity", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert "predicted order 2" in out and "PASS" in out
+    assert "predicted order 2, exact hop orders sr 4 rd 2, coding gain" in out
+    assert out.endswith("-> PASS\n")
 
 
 def test_diversity_same_order_configs(tmp_path, capsys):
@@ -483,19 +514,38 @@ def test_diversity_same_order_configs(tmp_path, capsys):
         assert "predicted order 4" in capsys.readouterr().out
 
 
-def test_diversity_needs_wide_grid(tmp_path):
+@pytest.mark.parametrize("antennas, mode, order", [
+    ((3, 4, 3, 3), "receive", 9), ((3, 4, 3, 3), "transmit", 6),
+    ((4, 5, 4, 4), "receive", 16), ((4, 5, 4, 4), "transmit", 12),
+])
+def test_diversity_is_exact_where_the_closed_form_is_not(tmp_path, capsys, antennas, mode,
+                                                        order):
+    # a slope fit to the float closed form gave -3.285 for (3,4,3,3) receive
+    # on this grid, and -0.610 for (4,5,4,4)
+    n_s, n_r1, n_r2, n_d = antennas
+    cfg = write_config(tmp_path, n_s=n_s, n_r1=n_r1, n_r2=n_r2, n_d=n_d, mode=mode,
+                       grid_start_db=0, grid_stop_db=60, grid_step_db=2.5)
+    assert main(["diversity", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert f"predicted order {order}," in out and out.endswith("-> PASS\n")
+
+
+def test_diversity_ignores_the_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, grid_start_db=0, grid_stop_db=5)
-    assert main(["diversity", "--config", str(cfg)]) == 2
+    assert main(["diversity", "--config", str(cfg)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_diversity_prints_the_coding_gain(tmp_path, capsys):
+    # (2,3,2,1) receive at gamma_t = 10: only the 1x2 hop has order 2, with
+    # CDF x^2/2 + O(x^3), so the outage tends to 50 / gammabar^2 and
+    # G_c = 50^(-1/2)
+    cfg = write_config(tmp_path, gamma_t_db=10, p_s_db=0, p_r_db=0)
+    assert main(["diversity", "--config", str(cfg)]) == 0
+    assert f"coding gain {-10 * math.log10(50) / 2:+.3f} dB -> PASS" in capsys.readouterr().out
 
 
 # -- curve internals ------------------------------------------------------------------------
-
-
-def test_curve_slope_estimates(tmp_path):
-    run = parse_run_config(write_config(tmp_path, grid_start_db=25,
-                                        grid_stop_db=40, grid_step_db=2.5))
-    curve = build_curve(run)
-    assert fit_high_snr_slope(curve) == pytest.approx(-2.0, abs=0.3)
 
 
 def test_antenna_swap_comparison(tmp_path):

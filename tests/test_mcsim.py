@@ -17,7 +17,6 @@ from fdrelay import mcsim
 from fdrelay.mcsim import (
     BLOCK_SIZE,
     SUB_BATCH,
-    BeamformerSet,
     DegenerateChannelError,
     _col_gram,
     _gains_from_channels,
@@ -36,6 +35,7 @@ from fdrelay.wishart import WishartDims
 from eig_samplers import projected_max_eig_samples, sample_wishart_max_eig
 from runs import make_run
 from zf_reference import (
+    BeamformerSet,
     draw_trials,
     gain_samples,
     loopback_direction,
@@ -169,7 +169,7 @@ def test_snrs_hand_computed_case():
     assert not bad[0]
     assert budget.scale_sr * lam_sr[0] == pytest.approx(2.0 * 4.0, rel=1e-12)
     assert budget.scale_rd * lam_rd[0] == pytest.approx(3.0 * 1.0, rel=1e-12)
-    assert zf_null(h_rr[None], beams)[0] <= 1e-12
+    assert zf_null(h_rr[None], BeamformerSet(*beams))[0] <= 1e-12
 
 
 def test_snrs_linear_in_power():

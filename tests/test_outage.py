@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from scipy import integrate, special
 
-from fdrelay.cli import SLOPE_TOLERANCE, build_curve, fit_high_snr_slope
+from fdrelay.cli import exact_diversity
 from fdrelay.outage import (
     AntennaConfig,
     InvalidProbabilityError,
@@ -326,7 +326,12 @@ def test_diversity_order(antennas, mode, expected):
 
 
 def test_high_snr_slope_quick():
-    # log-log slope of the analytic curve over 30..40 dB tracks -order
-    run = make_run((2, 3, 2, 1), "receive", (30.0, 32.5, 35.0, 37.5, 40.0))
-    slope = fit_high_snr_slope(build_curve(run))
-    assert abs(slope + diversity_order(run.antenna)) <= SLOPE_TOLERANCE
+    # (2,3,2,1) receive: the 1x2 hop has order 2 and CDF x^2/2 + O(x^3), the
+    # 2x2 hop order 4, so the outage tends to (gamma_t / gammabar)^2 / 2,
+    # which is 50 / gammabar^2 at gamma_t = 10
+    run = make_run((2, 3, 2, 1), "receive", (30.0, 40.0))
+    check = exact_diversity(run)
+    assert check.ok and check.predicted == 2 and check.hop_orders == (4, 2)
+    assert check.coding_gain_db == pytest.approx(-5.0 * math.log10(50.0), rel=1e-12)
+    p30, p40 = analytic_curve((2, 3, 2, 1), "receive", (30.0, 40.0))
+    assert abs(p40 / 50e-8 - 1.0) < abs(p30 / 50e-6 - 1.0) < 1e-2

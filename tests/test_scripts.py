@@ -24,23 +24,22 @@ def test_outage_curves_script(tmp_path):
         assert len(lines) == 4 and all(lines[-1].split(","))
 
 
-DIVERSITY_SLOPES_STDOUT = """\
-      config      mode order    slope   delta
-(2, 3, 2, 1)   receive     2   -1.997   0.003
-(2, 3, 2, 1)  transmit     1   -0.998   0.002
-(2, 2, 3, 1)   receive     2   -1.999   0.001
-(2, 2, 3, 1)  transmit     2   -1.997   0.003
-(2, 3, 2, 2)   receive     4   -3.996   0.004
-(2, 3, 2, 2)  transmit     2   -1.997   0.003
-(2, 3, 2, 3)   receive     4   -3.996   0.004
-(2, 3, 2, 3)  transmit     3   -2.997   0.003
-(3, 2, 2, 2)   receive     3   -2.999   0.001
-(3, 2, 2, 2)  transmit     2   -1.997   0.003
-worst |slope + order| = 0.004
+DIVERSITY_ORDERS_STDOUT = """\
+(2, 3, 2, 1)  receive: predicted order 2, exact hop orders sr 4 rd 2, coding gain -8.495 dB -> PASS
+(2, 3, 2, 1) transmit: predicted order 1, exact hop orders sr 6 rd 1, coding gain -10.000 dB -> PASS
+(2, 2, 3, 1)  receive: predicted order 2, exact hop orders sr 2 rd 3, coding gain -8.495 dB -> PASS
+(2, 2, 3, 1) transmit: predicted order 2, exact hop orders sr 4 rd 2, coding gain -8.495 dB -> PASS
+(2, 3, 2, 2)  receive: predicted order 4, exact hop orders sr 4 rd 4, coding gain -8.055 dB -> PASS
+(2, 3, 2, 2) transmit: predicted order 2, exact hop orders sr 6 rd 2, coding gain -8.495 dB -> PASS
+(2, 3, 2, 3)  receive: predicted order 4, exact hop orders sr 4 rd 6, coding gain -7.302 dB -> PASS
+(2, 3, 2, 3) transmit: predicted order 3, exact hop orders sr 6 rd 3, coding gain -7.406 dB -> PASS
+(3, 2, 2, 2)  receive: predicted order 3, exact hop orders sr 3 rd 4, coding gain -7.406 dB -> PASS
+(3, 2, 2, 2) transmit: predicted order 2, exact hop orders sr 6 rd 2, coding gain -8.495 dB -> PASS
+10 of 10 exact orders match
 """
 
 
-def test_diversity_slopes_script():
-    result = run_script("diversity_slopes.py")
+def test_diversity_orders_script():
+    result = run_script("diversity_orders.py")
     assert result.returncode == 0, result.stderr
-    assert result.stdout == DIVERSITY_SLOPES_STDOUT
+    assert result.stdout == DIVERSITY_ORDERS_STDOUT

@@ -22,6 +22,7 @@ from fdrelay.wishart import (
     NonzeroResidualError,
     WishartDims,
     _extract_from_density,
+    cdf_taylor,
     expected_keys,
     extract_coefficients,
     load_table,
@@ -218,6 +219,39 @@ def test_saved_table_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, (a, b)
 
 
+# -- Taylor coefficients at 0 -------------------------------------------------------------
+
+
+def cauchy_leading_coefficient(dims):
+    """t_ab = K_ab det[1 / (b - a + i + j - 1)], the small-x limit of the
+    CDF's determinant: gamma(s, x) ~ x^s / s.  The Cauchy matrix
+    1 / (x_i + y_j), x_i = i and y_j = j + b - a - 1, has determinant
+    prod_{i<j} (x_j - x_i)(y_j - y_i) / prod_{i,j} (x_i + y_j)."""
+    a, shift = dims.a, dims.b - dims.a - 1
+    num = math.prod((j - i) ** 2 for i in range(1, a + 1) for j in range(i + 1, a + 1))
+    den = math.prod(i + j + shift for i in range(1, a + 1) for j in range(1, a + 1))
+    return normalization_constant(dims) * F(num, den)
+
+
+def test_cdf_taylor_matches_the_cauchy_determinant():
+    for a in range(1, 6):
+        for b in range(a, 8):
+            dims = WishartDims(a, b)
+            t = cdf_taylor(extract_coefficients(dims), a * b + 1)
+            assert not any(t[:a * b]), dims
+            assert t[a * b] == cauchy_leading_coefficient(dims), dims
+    assert cauchy_leading_coefficient(WishartDims(2, 3)) == F(1, 144)
+    assert cauchy_leading_coefficient(WishartDims(3, 3)) == F(1, 8640)
+    assert cauchy_leading_coefficient(WishartDims(4, 7)) == F(1, 22299538725273600000)
+
+
+def test_cdf_taylor_single_channel():
+    # 1 - e^{-x} = x - x^2/2 + x^3/6 - ...; Erlang-2: x^2/2 - x^3/3 + x^4/8
+    assert cdf_taylor(extract_coefficients(WishartDims(1, 1)), 3) == [0, 1, F(-1, 2), F(1, 6)]
+    assert cdf_taylor(extract_coefficients(WishartDims(1, 2)), 4) == [0, 0, F(1, 2), F(-1, 3),
+                                                                       F(1, 8)]
+
+
 # -- disk cache -------------------------------------------------------------------------
 
 
@@ -280,6 +314,21 @@ def test_cache_truncated(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text('{"version":1')
     with pytest.raises(CacheFormatError):
+        load_table(path)
+
+
+def test_cache_not_utf8(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(CacheFormatError):
+        load_table(path)
+
+
+def test_cache_payload_not_an_object(tmp_path):
+    # the checksum holds, but the JSON line is a list
+    path = tmp_path / "t.txt"
+    path.write_text("[1]\nsha256:" + hashlib.sha256(b"[1]").hexdigest() + "\n")
+    with pytest.raises(CacheFormatError, match="not a JSON object"):
         load_table(path)
 
 

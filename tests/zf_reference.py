@@ -6,6 +6,8 @@ kernel's own column-product arithmetic.  ``gain_samples`` gives the
 unit-scale gains of a whole run, which the simulator itself only counts.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from fdrelay.mcsim import (
@@ -20,6 +22,17 @@ from fdrelay.mcsim import (
 from fdrelay.outage import ZFMode
 
 
+@dataclass(frozen=True)
+class BeamformerSet:
+    """Unit-norm precoding/combining vectors satisfying the ZF null, one
+    column per trial: the kernel's beam tuple, by name."""
+
+    t_s: np.ndarray  # (n_s, n) source precoder
+    t_d: np.ndarray  # (n_d, n) destination combiner
+    w_r: np.ndarray  # (n_r1, n) relay receive vector
+    w_t: np.ndarray  # (n_r2, n) relay transmit vector
+
+
 def gain_samples(config, trials, seed):
     """Unit-scale (lam_sr, lam_rd) of a ``trials``-trial run at ``seed``:
     each block's ``_block_gains`` on its own substream, in block order."""
@@ -32,7 +45,7 @@ def draw_trials(config, n, seed):
     """``n`` fixed-seed trials through the kernel: (channels, lam_sr, lam_rd, bad, beams)."""
     channels = _sample_arrays(make_rng(seed), config, n)
     lam_sr, lam_rd, bad, beams = _zf_trials(*map(_soa, channels), config.mode)
-    return channels, lam_sr, lam_rd, bad, beams
+    return channels, lam_sr, lam_rd, bad, BeamformerSet(*beams)
 
 
 def zf_null(h_rr, beams):
