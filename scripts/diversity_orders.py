@@ -8,7 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fdrelay.cli import RunConfig, exact_diversity
+from fdrelay.curves import RunConfig, db_to_linear, exact_diversity
 from fdrelay.outage import AntennaConfig, OutageQuery, ZFMode
 
 CONFIGS = [(2, 3, 2, 1), (2, 2, 3, 1), (2, 3, 2, 2), (2, 3, 2, 3), (3, 2, 2, 2)]
@@ -19,7 +19,7 @@ def main() -> int:
     parser.add_argument("--gamma-t-db", default=10.0, type=float)
     args = parser.parse_args()
 
-    query = OutageQuery.snr(10.0 ** (args.gamma_t_db / 10.0))
+    query = OutageQuery.snr(db_to_linear(args.gamma_t_db))
     passed = 0
     for antennas in CONFIGS:
         for mode in (ZFMode.RECEIVE, ZFMode.TRANSMIT):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fdrelay.cli import RunConfig, build_curve, write_csv
+from fdrelay.curves import RunConfig, build_curve, db_grid, db_to_linear, write_csv
 from fdrelay.outage import AntennaConfig, OutageQuery, ZFMode
 
 BUDGETS = {
@@ -48,17 +48,13 @@ GROUPS = {
 }
 
 
-def run_config(antennas, mode, budget_key, args):
+def run_config(antennas, mode, budget_key, grid, args):
     asymmetry, ratio = BUDGETS[budget_key]
     # asymmetric panels use a 5 dB threshold, symmetric ones 10 dB
     gamma_t_db = 10.0 if budget_key == "sym" else 5.0
-    grid = tuple(
-        args.grid_start + i * args.grid_step
-        for i in range(int((args.grid_stop - args.grid_start) / args.grid_step) + 1)
-    )
     return RunConfig(
         antenna=AntennaConfig(*antennas, mode),
-        query=OutageQuery.snr(10.0 ** (gamma_t_db / 10.0)),
+        query=OutageQuery.snr(db_to_linear(gamma_t_db)),
         grid_db=grid,
         trials=args.trials,
         seed=args.seed,
@@ -78,13 +74,17 @@ def main() -> int:
     parser.add_argument("--group", choices=sorted(GROUPS), default=None,
                         help="run a single experiment group")
     args = parser.parse_args()
+    try:
+        grid = db_grid(args.grid_start, args.grid_stop, args.grid_step)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     groups = {args.group: GROUPS[args.group]} if args.group else GROUPS
     for group, entries in groups.items():
         for antennas, mode, budget_keys in entries:
             for key in budget_keys:
-                run = run_config(antennas, mode, key, args)
+                run = run_config(antennas, mode, key, grid, args)
                 curve = build_curve(run)
                 name = "".join(map(str, antennas))
                 path = args.outdir / f"{group}_{name}_{mode.value}_{key}.csv"

@@ -1,10 +1,12 @@
 """Command-line front end: coefficient cache management, SNR sweeps,
 analytic-vs-Monte-Carlo comparison, and exact diversity-order checks.
 
-All dB <-> linear conversion happens here, at the boundary; the library
-modules are linear-scale only.  Run configurations are flat ``key = value``
-text files (see ``parse_run_config`` for the key list), and sweep output is
-a small CSV suitable for direct plotting.
+The commands run on the library in ``curves``, which turns the SNR grid
+from dB to linear; ``outage``, ``mcsim`` and ``wishart`` stay linear-scale.
+The config's other dB values, the threshold and the powers, are converted
+here at the boundary.  Run configurations are flat ``key = value`` text
+files (see ``parse_run_config`` for the key list), and sweep output is a
+small CSV suitable for direct plotting.
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error.
 """
@@ -16,42 +18,29 @@ import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import mcsim
+from .curves import (
+    RunConfig,
+    build_curve,
+    db_grid,
+    db_to_linear,
+    exact_diversity,
+    load_or_compute_table,
+    write_csv,
+)
 from .outage import (
     AntennaConfig,
     InvalidProbabilityError,
-    LinkBudget,
     OutageQuery,
     ZFMode,
-    diversity_order,
-    e2e_outage,
-    link_dims,
-    link_outage,
     rate_to_snr_threshold,
 )
-from .wishart import (
-    CacheFormatError,
-    CoeffTable,
-    NonzeroResidualError,
-    WishartDims,
-    cached_table,
-    cdf_taylor,
-    extract_coefficients,
-    load_table,
-    save_table,
-)
+from .wishart import CacheFormatError, NonzeroResidualError, WishartDims
 
 CACHE_DIR_ENV = "FDRELAY_CACHE_DIR"
-CSV_HEADER = "gammabar_db,analytic,mc,ci_low,ci_high"
-#: Longest SNR grid a run config may ask for: 0.01 dB steps across 100 dB.
-#: Finer curves show nothing new, and every point costs a closed-form
-#: evaluation and, in each Monte Carlo block, a pass over that block's gains.
-MAX_GRID_POINTS = 10_000
 #: Most Monte Carlo trials a run may ask for.  Memory does not grow with
 #: trials, since each block is counted where it is drawn, so the bound is
 #: one of time: (2,3,2,2) takes about 50 minutes on 2 CPUs, and resolves an
@@ -65,61 +54,6 @@ EXIT_USAGE = 2
 
 class ConfigError(ValueError):
     """Run-configuration file is missing, malformed, or inconsistent."""
-
-
-@dataclass(frozen=True)
-class CurveRow:
-    gammabar_db: float
-    analytic: float
-    mc: Optional[float]
-    ci_low: Optional[float]
-    ci_high: Optional[float]
-
-
-@dataclass(frozen=True)
-class OutageCurve:
-    rows: Tuple[CurveRow, ...]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    antenna: AntennaConfig
-    query: OutageQuery
-    grid_db: Tuple[float, ...]
-    p_s: float = 1.0
-    p_r: float = 1.0
-    alpha_sr: float = 1.0
-    alpha_rd: float = 1.0
-    trials: int = 0
-    seed: int = 0
-    out_csv: Optional[str] = None
-    asymmetry: str = "symmetric"
-    asymmetry_ratio: Optional[float] = None
-
-    def resolved_alphas(self) -> Tuple[float, float]:
-        """Path-loss amplitudes after applying the asymmetry shorthand.
-
-        The shorthand overrides explicit alphas: the dominant hop gets
-        amplitude sqrt(ratio) so the effective power ratio equals ratio.
-        """
-        if self.asymmetry == "sr_dominant":
-            return math.sqrt(self.asymmetry_ratio), 1.0
-        if self.asymmetry == "rd_dominant":
-            return 1.0, math.sqrt(self.asymmetry_ratio)
-        return self.alpha_sr, self.alpha_rd
-
-    def hop_scales(self) -> Tuple[list, list]:
-        """Each hop's scale, effective power times average SNR, at every grid
-        point: the unit-SNR scale times the point's average SNR."""
-        a_sr, a_rd = self.resolved_alphas()
-        unit = LinkBudget(p_s=self.p_s, p_r=self.p_r, alpha_sr=a_sr, alpha_rd=a_rd)
-        unit_sr, unit_rd = unit.scale_sr, unit.scale_rd
-        gbars = [_db_to_linear(g_db) for g_db in self.grid_db]
-        return [unit_sr * g for g in gbars], [unit_rd * g for g in gbars]
-
-
-def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
 
 
 def _check_trials(trials: int, where: str) -> int:
@@ -161,12 +95,12 @@ _CONFIG_TYPES = {
 #: Keys that enter the model through a linear value, and how they get it.
 #: Each linear value must be finite and > 0; the grid lies between its ends.
 _LINEAR_FORMS = {
-    "gamma_t_db": _db_to_linear,
+    "gamma_t_db": db_to_linear,
     "rate_r0": rate_to_snr_threshold,
-    "p_s_db": _db_to_linear,
-    "p_r_db": _db_to_linear,
-    "grid_start_db": _db_to_linear,
-    "grid_stop_db": _db_to_linear,
+    "p_s_db": db_to_linear,
+    "p_r_db": db_to_linear,
+    "grid_start_db": db_to_linear,
+    "grid_stop_db": db_to_linear,
 }
 
 _REQUIRED_KEYS = ("n_s", "n_r1", "n_r2", "n_d", "mode",
@@ -241,19 +175,14 @@ def parse_run_config(path: str | Path) -> RunConfig:
     if has_gamma == has_rate:
         raise ConfigError(f"{path}: specify exactly one of gamma_t_db or rate_r0")
     if has_gamma:
-        query = OutageQuery.snr(_db_to_linear(values["gamma_t_db"]))
+        query = OutageQuery.snr(db_to_linear(values["gamma_t_db"]))
     else:
         query = OutageQuery.rate(values["rate_r0"])
 
-    start, stop, step = (values["grid_start_db"], values["grid_stop_db"],
-                         values["grid_step_db"])
-    if step <= 0 or stop < start:
-        raise ConfigError(f"{path}: need grid_step_db > 0 and grid_stop_db >= grid_start_db")
-    # min() keeps int() off the inf that a tiny step gives
-    count = int(round(min((stop - start) / step, MAX_GRID_POINTS))) + 1
-    if count > MAX_GRID_POINTS:
-        raise ConfigError(f"{path}: the grid has more than {MAX_GRID_POINTS} points")
-    grid = tuple(start + i * step for i in range(count) if start + i * step <= stop + 1e-9)
+    try:
+        grid = db_grid(values["grid_start_db"], values["grid_stop_db"], values["grid_step_db"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
     asymmetry = str(values.get("asymmetry", "symmetric")).lower()
     if asymmetry not in ("symmetric", "sr_dominant", "rd_dominant"):
@@ -262,13 +191,19 @@ def parse_run_config(path: str | Path) -> RunConfig:
     if asymmetry != "symmetric":
         if ratio is None or ratio <= 1.0:
             raise ConfigError(f"{path}: asymmetric budgets need asymmetry_ratio > 1")
+        alphas = [k for k in ("alpha_sr", "alpha_rd") if k in values]
+        if alphas:
+            raise ConfigError(f"{path}: asymmetry = {asymmetry} sets both alphas; "
+                              f"drop {' and '.join(alphas)} or the asymmetry")
+    elif ratio is not None:
+        raise ConfigError(f"{path}: asymmetry_ratio needs asymmetry = sr_dominant or rd_dominant")
 
     run = RunConfig(
         antenna=antenna,
         query=query,
         grid_db=grid,
-        p_s=_db_to_linear(values.get("p_s_db", 0.0)),
-        p_r=_db_to_linear(values.get("p_r_db", 0.0)),
+        p_s=db_to_linear(values.get("p_s_db", 0.0)),
+        p_r=db_to_linear(values.get("p_r_db", 0.0)),
         alpha_sr=float(values.get("alpha_sr", 1.0)),
         alpha_rd=float(values.get("alpha_rd", 1.0)),
         trials=_check_trials(values.get("trials", 0), str(path)),
@@ -278,13 +213,13 @@ def parse_run_config(path: str | Path) -> RunConfig:
         asymmetry_ratio=ratio,
     )
     # the scales grow with the grid, so its two ends bound them all
-    ends = dataclasses.replace(run, grid_db=(grid[0], grid[-1]))
     try:
-        scales = ends.hop_scales()
-    except OverflowError:  # alpha ** 2 overflowed
-        scales = ([math.inf], [math.inf])
-    for hop, power, hop_scales in zip(("sr", "rd"), ("p_s", "p_r"), scales):
-        if not all(0.0 < scale < math.inf for scale in hop_scales):
+        units = run.unit_scales()
+        gbars = (db_to_linear(grid[0]), db_to_linear(grid[-1]))
+    except OverflowError:  # alpha ** 2 or the last point overflowed
+        units, gbars = (math.inf, math.inf), (math.inf,)
+    for hop, power, unit in zip(("sr", "rd"), ("p_s", "p_r"), units):
+        if not all(0.0 < unit * g < math.inf for g in gbars):
             raise ConfigError(f"{path}: the {hop} hop's linear scale alpha_{hop}**2 * {power} "
                               "* gammabar is out of range at an end of the grid: "
                               "it must be finite and > 0")
@@ -299,84 +234,6 @@ def resolve_cache_dir(flag_value: Optional[str]) -> Optional[Path]:
         return Path(flag_value)
     env = os.environ.get(CACHE_DIR_ENV)
     return Path(env) if env else None
-
-
-def _cache_path(cache_dir: Path, dims: WishartDims) -> Path:
-    return cache_dir / f"coeff_a{dims.a}_b{dims.b}.txt"
-
-
-def load_or_compute_table(dims: WishartDims, cache_dir: Optional[Path]) -> tuple[CoeffTable, str]:
-    """Fetch a weight table, preferring the disk cache; returns (table, origin)."""
-    if cache_dir is None:
-        return cached_table(dims), "computed"
-    path = _cache_path(cache_dir, dims)
-    if path.exists():
-        try:
-            table = load_table(path)
-            if table.dims != dims:
-                raise CacheFormatError(f"{path}: holds a={table.dims.a} b={table.dims.b}")
-            return table, "cached"
-        except CacheFormatError as exc:
-            print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
-    table = extract_coefficients(dims)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    save_table(table, path)
-    return table, "computed"
-
-
-def _analysis_dims(antenna: AntennaConfig, fault: Optional[str]) -> tuple[WishartDims, WishartDims]:
-    if fault == "wrong-dims":
-        # test-only: ignore the projection loss so the analytic curve is wrong
-        return (WishartDims.of_matrix(antenna.n_r1, antenna.n_s),
-                WishartDims.of_matrix(antenna.n_r2, antenna.n_d))
-    return link_dims(antenna, "sr"), link_dims(antenna, "rd")
-
-
-# -- curve construction -------------------------------------------------------
-
-
-def build_curve(run: RunConfig, cache_dir: Optional[Path] = None,
-                fault: Optional[str] = None) -> OutageCurve:
-    """Analytic (and optionally Monte Carlo) outage across the SNR grid.
-
-    Monte Carlo draws one set of trials per run and counts, block by block,
-    the trials in outage at every grid point, which is identical in
-    distribution to per-point estimation with the same seed and keeps the
-    CSV deterministic.
-    """
-    dims_sr, dims_rd = _analysis_dims(run.antenna, fault)
-    table_sr, _ = load_or_compute_table(dims_sr, cache_dir)
-    table_rd, _ = load_or_compute_table(dims_rd, cache_dir)
-    gamma_t = run.query.snr_threshold()
-    scales_sr, scales_rd = run.hop_scales()
-    p_sr = link_outage(table_sr, scales_sr, gamma_t)
-    p_rd = link_outage(table_rd, scales_rd, gamma_t)
-    failures = [None] * len(run.grid_db)
-    if run.trials > 0:
-        failures = mcsim.link_gain_samples(run.antenna, run.trials, run.seed,
-                                           scales_sr, scales_rd, gamma_t)[0].tolist()
-    rows = []
-    for g_db, sr, rd, k in zip(run.grid_db, p_sr, p_rd, failures):
-        mc = ci_low = ci_high = None
-        if k is not None:
-            mc = k / run.trials
-            ci_low, ci_high = mcsim.wilson_interval(k, run.trials)
-        rows.append(CurveRow(g_db, e2e_outage(sr, rd), mc, ci_low, ci_high))
-    return OutageCurve(rows=tuple(rows))
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else format(value, ".10g")
-
-
-def write_csv(curve: OutageCurve, path: str | Path) -> None:
-    lines = [CSV_HEADER]
-    for r in curve.rows:
-        lines.append(",".join([
-            _fmt(r.gammabar_db), _fmt(r.analytic), _fmt(r.mc),
-            _fmt(r.ci_low), _fmt(r.ci_high),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # -- subcommands --------------------------------------------------------------
@@ -465,43 +322,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     print(f"compare: OK (max |z| = {worst:.3f})")
     return EXIT_OK
-
-
-@dataclass(frozen=True)
-class DiversityCheck:
-    """Exact high-SNR law of a run; ``str`` gives its ``fdrelay diversity`` line."""
-
-    predicted: int  # outage.diversity_order: the paper's formula
-    hop_orders: Tuple[Optional[int], Optional[int]]  # (sr, rd): first j <= ab with t_j != 0
-    coding_gain_db: Optional[float]  # if ok: outage ~ (G_c * gammabar) ** -predicted
-    ok: bool
-
-    def __str__(self) -> str:
-        gain = "" if self.coding_gain_db is None else f", coding gain {self.coding_gain_db:+.3f} dB"
-        return (f"predicted order {self.predicted}, exact hop orders sr {self.hop_orders[0]} "
-                f"rd {self.hop_orders[1]}{gain} -> {'PASS' if self.ok else 'FAIL'}")
-
-
-def exact_diversity(run: RunConfig, cache_dir: Optional[Path] = None) -> DiversityCheck:
-    """Hop orders and coding gain from the exact CDF Taylor coefficients t_j.
-    An a x b hop's outage is t_ab x^ab + O(x^{ab+1}) at x = gamma_t / scale, so with d
-    the smaller ab, outage ~ (G_c gammabar)^-d where G_c^-d sums t_ab (gamma_t / unit
-    scale)^d over the hops of order d, exactly: at 9x9 its float terms can underflow."""
-    units = dataclasses.replace(run, grid_db=(0.0,)).hop_scales()  # scales at gammabar = 1
-    hops = []
-    for link, (unit,) in zip(("sr", "rd"), units):
-        dims = link_dims(run.antenna, link)
-        ab = dims.a * dims.b
-        t = cdf_taylor(load_or_compute_table(dims, cache_dir)[0], ab)
-        hops.append((ab, next((j for j, c in enumerate(t) if c), None), t[ab], unit))
-    d, predicted = min(ab for ab, _, _, _ in hops), diversity_order(run.antenna)
-    ok = d == predicted and all(o == ab and t > 0 for ab, o, t, _ in hops)
-    gain_db = None
-    if ok:
-        gamma_t = Fraction(run.query.snr_threshold())
-        s = sum(t * (gamma_t / Fraction(unit)) ** d for ab, _, t, unit in hops if ab == d)
-        gain_db = 10.0 * (math.log(s.denominator) - math.log(s.numerator)) / (d * math.log(10.0))
-    return DiversityCheck(predicted, tuple(o for _, o, _, _ in hops), gain_db, ok)
 
 
 def cmd_diversity(args: argparse.Namespace) -> int:

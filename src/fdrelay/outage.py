@@ -10,7 +10,7 @@ regularized lower incomplete gamma values
 
 where ``scale`` is the product of effective transmit power and average link
 SNR (the two only ever enter as a product).  All functions here are pure and
-operate in linear SNR units; dB conversions belong to the CLI boundary.
+operate in linear SNR units; dB conversions belong to ``curves`` and ``cli``.
 """
 
 from __future__ import annotations
@@ -61,40 +61,6 @@ class AntennaConfig:
 
     def antennas(self) -> Tuple[int, int, int, int]:
         return (self.n_s, self.n_r1, self.n_r2, self.n_d)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Noise-normalized linear powers, average link SNRs, path-loss amplitudes."""
-
-    p_s: float = 1.0
-    p_r: float = 1.0
-    gammabar_sr: float = 1.0
-    gammabar_rd: float = 1.0
-    alpha_sr: float = 1.0
-    alpha_rd: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("p_s", "p_r", "gammabar_sr", "gammabar_rd", "alpha_sr", "alpha_rd"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-
-    @property
-    def effective_p_s(self) -> float:
-        return self.alpha_sr ** 2 * self.p_s
-
-    @property
-    def effective_p_r(self) -> float:
-        return self.alpha_rd ** 2 * self.p_r
-
-    @property
-    def scale_sr(self) -> float:
-        """Effective power times average SNR for the first hop."""
-        return self.effective_p_s * self.gammabar_sr
-
-    @property
-    def scale_rd(self) -> float:
-        return self.effective_p_r * self.gammabar_rd
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Run configurations built in code, for tests that need whole curves from
-``cli.build_curve``: the one route from antennas, powers and an SNR grid to
+``curves.build_curve``: the one route from antennas, powers and an SNR grid to
 closed-form and Monte Carlo outage."""
 
-from fdrelay.cli import RunConfig, build_curve
+from fdrelay.curves import RunConfig, build_curve
 from fdrelay.outage import AntennaConfig, OutageQuery, ZFMode
 
 

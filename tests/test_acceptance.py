@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fdrelay.cli import build_curve, exact_diversity
+from fdrelay.curves import build_curve, exact_diversity
 from fdrelay.exppoly import ExpPoly
 from fdrelay.mcsim import make_rng, outage_from_gains, wilson_interval
 from fdrelay.outage import (
     AntennaConfig,
-    LinkBudget,
     OutageQuery,
     ZFMode,
     diversity_order,
@@ -64,12 +63,6 @@ def _report(criterion: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def _budget(g_db: float, alphas) -> LinkBudget:
-    g = 10.0 ** (g_db / 10.0)
-    return LinkBudget(gammabar_sr=g, gammabar_rd=g,
-                      alpha_sr=alphas[0], alpha_rd=alphas[1])
 
 
 def test_criterion_1_coefficient_exactness():
@@ -152,10 +145,9 @@ def test_criterion_5_closed_form_inside_mc_ci():
             cfg = AntennaConfig(*antennas, mode)
             gains = gain_samples(cfg, TRIALS, MC_SEED)
             for name, alphas in BUDGET_ALPHAS.items():
-                curve = analytic_curve(antennas, mode, GRID_DB, query, alphas=alphas)
-                budgets = [_budget(g_db, alphas) for g_db in GRID_DB]
-                failures = outage_from_gains(gains, [b.scale_sr for b in budgets],
-                                             [b.scale_rd for b in budgets], GAMMA_T)
+                run = make_run(antennas, mode, GRID_DB, query, alphas=alphas)
+                curve = [row.analytic for row in build_curve(run).rows]
+                failures = outage_from_gains(gains, *run.hop_scales(), GAMMA_T)
                 for g_db, analytic, k in zip(GRID_DB, curve, failures.tolist()):
                     lo, hi = wilson_interval(k, TRIALS, z=Z_99)
                     points += 1
@@ -227,7 +219,6 @@ def test_criterion_7_diversity_order_slopes():
 def test_criterion_8_model_identities():
     # kernel beams for 5,000 trials per mode, checked against test-side
     # einsum references
-    budget = LinkBudget(p_s=2.0, p_r=3.0)
     worst_zf = worst_power = worst_proj = 0.0
     trials_per_mode = 5_000
     for mode, seed in ((ZFMode.RECEIVE, 800), (ZFMode.TRANSMIT, 801)):
@@ -236,7 +227,7 @@ def test_criterion_8_model_identities():
         assert not bad.any()
         worst_zf = max(worst_zf, float(np.max(zf_null(h_rr, beams))))
         worst_power = max(worst_power,
-                          float(np.max(power_identity_residual(h_sr, h_rd, beams, budget))))
+                          float(np.max(power_identity_residual(h_sr, h_rd, beams, 2.0, 3.0))))
         proj = projectors(loopback_direction(h_rr, beams, mode))
         assert proj.shape[1] == (cfg.n_r1 if mode is ZFMode.RECEIVE else cfg.n_r2)
         worst_proj = max(worst_proj, projector_law_residual(proj))

@@ -8,15 +8,13 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from fdrelay import cli, mcsim
-from fdrelay.cli import (
-    ConfigError,
-    build_curve,
-    main,
-    parse_run_config,
-)
+from fdrelay import cli, curves, mcsim
+from fdrelay.cli import ConfigError, main, parse_run_config
+from fdrelay.curves import build_curve, write_csv
 from fdrelay.outage import OutageQuery
 from fdrelay.wishart import WishartDims, load_table
 from runs import make_run
@@ -80,6 +78,73 @@ def test_parse_rejects_bad_grid(tmp_path):
 def test_parse_rejects_asymmetry_without_ratio(tmp_path):
     with pytest.raises(ConfigError):
         parse_run_config(write_config(tmp_path, asymmetry="sr_dominant"))
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"asymmetry": "rd_dominant", "asymmetry_ratio": 1.5, "alpha_sr": 3},
+     "asymmetry = rd_dominant sets both alphas; drop alpha_sr or the asymmetry"),
+    ({"asymmetry": "sr_dominant", "asymmetry_ratio": 1.5, "alpha_sr": 1, "alpha_rd": 1},
+     "asymmetry = sr_dominant sets both alphas; drop alpha_sr and alpha_rd or the asymmetry"),
+    ({"asymmetry": "symmetric", "asymmetry_ratio": 1.5},
+     "asymmetry_ratio needs asymmetry = sr_dominant or rd_dominant"),
+    ({"asymmetry_ratio": 1.5}, "asymmetry_ratio needs asymmetry = sr_dominant or rd_dominant"),
+])
+def test_sweep_rejects_conflicting_budget_keys(tmp_path, capsys, overrides, message):
+    # the shorthand sets both amplitudes, so an alpha beside it, or a ratio
+    # without it, would be ignored
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+#: A config that parses; the property test below drops and overrides its keys.
+VALID_CONFIG = {"n_s": "2", "n_r1": "3", "n_r2": "2", "n_d": "1", "mode": "receive",
+                "gamma_t_db": "10", "grid_start_db": "0", "grid_stop_db": "30",
+                "grid_step_db": "5"}
+
+#: Values of any key: non-finite, overflowing, negative zero, empty, huge.
+odd_texts = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "-0", "0", "", "1.5", "1e-320",
+                     "1e200", "4000", "-4000", str(2 ** 200), "x"]),
+    st.text(max_size=6),
+)
+
+
+def typed_texts(key):
+    kind = cli._CONFIG_TYPES[key]
+    if kind is int:
+        return st.one_of(st.integers(0, 9), st.integers(-2, 2 ** 130)).map(str)
+    if kind is float:
+        return st.one_of(st.floats(-400, 400), st.floats()).map(repr)
+    names = {"mode": ["receive", "transmit", "Transmit"],
+             "asymmetry": ["symmetric", "sr_dominant", "rd_dominant"]}
+    return st.sampled_from(names[key]) if key in names else st.text(max_size=6)
+
+
+override_keys = st.lists(st.sampled_from(sorted(cli._CONFIG_TYPES)), unique=True,
+                        max_size=4)
+#: Typed values for up to four keys, and an odd one for at most one key.
+config_overrides = st.tuples(
+    override_keys.flatmap(lambda ks: st.fixed_dictionaries({k: typed_texts(k) for k in ks})),
+    st.dictionaries(st.sampled_from(sorted(cli._CONFIG_TYPES)), odd_texts, max_size=1),
+).map(lambda pair: pair[0] | pair[1])
+
+
+@given(st.sets(st.sampled_from(sorted(VALID_CONFIG)), max_size=1), config_overrides)
+@settings(max_examples=500)
+def test_parse_run_config_parses_or_raises_config_error(tmp_path_factory, dropped, overrides):
+    config = {k: v for k, v in VALID_CONFIG.items() if k not in dropped} | overrides
+    path = tmp_path_factory.getbasetemp() / "property.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in config.items()), encoding="utf-8")
+    try:
+        run = parse_run_config(path)
+    except ConfigError:
+        return
+    for hop in run.hop_scales():
+        assert 0.0 < hop[0] < math.inf and 0.0 < hop[-1] < math.inf
 
 
 def test_parse_missing_file():
@@ -171,7 +236,7 @@ def _curve_sha256(tmp_path, antennas, mode, asymmetry, ratio, gamma_t_db, grid_d
     run = make_run(antennas, mode, grid_db, OutageQuery.snr(10.0 ** (gamma_t_db / 10.0)),
                    p_s=p_s, p_r=p_r, trials=trials, seed=seed, asymmetry=asymmetry, ratio=ratio)
     path = tmp_path / "curve.csv"
-    cli.write_csv(build_curve(run), path)
+    write_csv(build_curve(run), path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -358,14 +423,14 @@ def test_sweep_rejects_oversized_grid(tmp_path, capsys, stop, step):
     cfg = write_config(tmp_path, grid_stop_db=stop, grid_step_db=step)
     assert main(["sweep", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert f"more than {cli.MAX_GRID_POINTS} points" in err
+    assert f"more than {curves.MAX_GRID_POINTS} points" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
 
 
 def test_parse_accepts_largest_grid(tmp_path):
     cfg = parse_run_config(write_config(tmp_path, grid_stop_db=99.99, grid_step_db=0.01))
-    assert len(cfg.grid_db) == cli.MAX_GRID_POINTS
+    assert len(cfg.grid_db) == curves.MAX_GRID_POINTS
 
 
 def test_parse_accepts_most_trials(tmp_path):

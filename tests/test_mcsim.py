@@ -29,8 +29,8 @@ from fdrelay.mcsim import (
     outage_from_gains,
     wilson_interval,
 )
-from fdrelay.cli import build_curve
-from fdrelay.outage import AntennaConfig, LinkBudget, ZFMode
+from fdrelay.curves import build_curve
+from fdrelay.outage import AntennaConfig, ZFMode
 from fdrelay.wishart import WishartDims
 from eig_samplers import projected_max_eig_samples, sample_wishart_max_eig
 from runs import make_run
@@ -163,25 +163,25 @@ def test_snrs_hand_computed_case():
     h_rd = np.array([[1.0], [0.0]], dtype=complex)
     lam_sr, lam_rd, bad, beams = _zf_trials(
         *(_soa(h[None]) for h in (h_sr, h_rr, h_rd)), ZFMode.RECEIVE)
-    budget = LinkBudget(p_s=2.0, p_r=3.0)
+    p_s, p_r = 2.0, 3.0
     # t_d = 1, h_rd_eff = e1, loopback image = e2, projector keeps e1:
     # SR gain |2|^2 = 4, RD gain |h_rd|^2 = 1
     assert not bad[0]
-    assert budget.scale_sr * lam_sr[0] == pytest.approx(2.0 * 4.0, rel=1e-12)
-    assert budget.scale_rd * lam_rd[0] == pytest.approx(3.0 * 1.0, rel=1e-12)
+    assert p_s * lam_sr[0] == pytest.approx(2.0 * 4.0, rel=1e-12)
+    assert p_r * lam_rd[0] == pytest.approx(3.0 * 1.0, rel=1e-12)
     assert zf_null(h_rr[None], BeamformerSet(*beams))[0] <= 1e-12
 
 
 def test_snrs_linear_in_power():
     gains = gain_samples(RX_CFG, 5000, seed=5)
-    base = LinkBudget(p_s=1.5, p_r=2.5, gammabar_sr=3.0, gammabar_rd=7.0)
-    quad = LinkBudget(p_s=6.0, p_r=10.0, gammabar_sr=3.0, gammabar_rd=7.0)
-    assert quad.scale_sr == 4.0 * base.scale_sr
-    assert quad.scale_rd == 4.0 * base.scale_rd
+    # scales are power times average SNR: p = (1.5, 2.5) and (6, 10) at SNRs (3, 7)
+    base_sr, base_rd = 1.5 * 3.0, 2.5 * 7.0
+    quad_sr, quad_rd = 6.0 * 3.0, 10.0 * 7.0
+    assert (quad_sr, quad_rd) == (4.0 * base_sr, 4.0 * base_rd)
     # four times the power against four times the threshold: the same trials fail
-    (failures,) = outage_from_gains(gains, [base.scale_sr], [base.scale_rd], 20.0)
+    (failures,) = outage_from_gains(gains, [base_sr], [base_rd], 20.0)
     assert 0 < failures < 5000
-    assert outage_from_gains(gains, [quad.scale_sr], [quad.scale_rd], 80.0).tolist() == [failures]
+    assert outage_from_gains(gains, [quad_sr], [quad_rd], 80.0).tolist() == [failures]
 
 
 def test_mean_projected_gain_matches_quadrature():
@@ -222,10 +222,9 @@ def test_sub_batch_sizes_up_to_8192_give_identical_bits(monkeypatch):
 
 
 def test_power_identity_random_trials():
-    budget = LinkBudget(p_s=4.0, p_r=2.0)
     for cfg in (RX_CFG, TX_CFG):
         (h_sr, _, h_rd), *_, beams = draw_trials(cfg, 200, seed=6)
-        assert np.max(power_identity_residual(h_sr, h_rd, beams, budget)) <= 1e-10
+        assert np.max(power_identity_residual(h_sr, h_rd, beams, 4.0, 2.0)) <= 1e-10
 
 
 def test_power_identity_detects_non_unit_beamformer():
@@ -233,7 +232,7 @@ def test_power_identity_detects_non_unit_beamformer():
     skewed = BeamformerSet(t_s=beams.t_s, t_d=beams.t_d,
                            w_r=1.1 * beams.w_r, w_t=beams.w_t)
     # relay noise term becomes |1.1|^2 = 1.21 while the compact form assumes 1
-    residual = power_identity_residual(h_sr, h_rd, skewed, LinkBudget())
+    residual = power_identity_residual(h_sr, h_rd, skewed, 1.0, 1.0)
     assert residual[0] == pytest.approx(0.21, abs=1e-9)
 
 
@@ -537,11 +536,11 @@ PARENT_MEMORY = """
 import os, resource, sys
 if sys.argv[1] == "inline":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from fdrelay import cli, mcsim
+from fdrelay import curves, mcsim
 from fdrelay.outage import AntennaConfig, OutageQuery, ZFMode
 
 def peak_after(trials):
-    cli.build_curve(cli.RunConfig(
+    curves.build_curve(curves.RunConfig(
         antenna=AntennaConfig(1, 2, 1, 1, ZFMode.RECEIVE), query=OutageQuery.snr(10.0),
         grid_db=(0.0, 10.0, 20.0, 30.0), p_s=1.0, p_r=1.0, alpha_sr=1.0, alpha_rd=1.0,
         trials=trials, seed=3, out_csv=None, asymmetry="symmetric", asymmetry_ratio=None))

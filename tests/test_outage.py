@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from scipy import integrate, special
 
-from fdrelay.cli import exact_diversity
+from fdrelay.curves import exact_diversity
 from fdrelay.outage import (
     AntennaConfig,
     InvalidProbabilityError,
-    LinkBudget,
     OutageQuery,
     ZFMode,
     _check_probability,
@@ -47,15 +46,18 @@ def test_antenna_config_validation():
     AntennaConfig(2, 2, 1, 1, ZFMode.RECEIVE)
 
 
-def test_link_budget_scales():
-    b = LinkBudget(p_s=2.0, p_r=4.0, gammabar_sr=10.0, gammabar_rd=5.0,
-                   alpha_sr=0.5, alpha_rd=2.0)
-    assert b.effective_p_s == pytest.approx(0.5)
-    assert b.effective_p_r == pytest.approx(16.0)
-    assert b.scale_sr == pytest.approx(5.0)
-    assert b.scale_rd == pytest.approx(80.0)
-    with pytest.raises(ValueError):
-        LinkBudget(p_s=0.0)
+def test_run_config_unit_scales():
+    run = make_run((2, 3, 2, 1), "receive", (10.0, 0.0), p_s=2.0, p_r=4.0, alphas=(0.5, 2.0))
+    assert run.unit_scales() == (0.5, 16.0)
+    assert run.hop_scales() == ([5.0, 0.5], [160.0, 16.0])
+    # the shorthand's amplitude sqrt(ratio) replaces alpha_rd
+    assert make_run((2, 3, 2, 1), "receive", (), asymmetry="rd_dominant",
+                    ratio=1.5).unit_scales() == (1.0, math.sqrt(1.5) ** 2)
+    for bad in ({"p_s": 0.0}, {"p_r": -1.0}, {"alphas": (1.0, 0.0)}):
+        with pytest.raises(ValueError, match="must be > 0"):
+            make_run((2, 3, 2, 1), "receive", (10.0,), **bad).unit_scales()
+        with pytest.raises(ValueError, match="must be > 0"):
+            make_run((2, 3, 2, 1), "receive", (10.0,), **bad).hop_scales()
 
 
 def test_outage_query_validation():

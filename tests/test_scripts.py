@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from fdrelay.cli import main
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -22,6 +26,35 @@ def test_outage_curves_script(tmp_path):
         lines = path.read_text().splitlines()
         assert lines[0] == "gammabar_db,analytic,mc,ci_low,ci_high"
         assert len(lines) == 4 and all(lines[-1].split(","))
+
+
+def test_outage_curves_script_keeps_the_end_of_its_grid(tmp_path):
+    # 0 + 7 * 0.1 = 0.7000000000000001 lies within 1e-9 dB of the stop; a run
+    # config with the same grid gives the same 8 points and the same bytes
+    result = run_script("outage_curves.py", "--group", "relay_antenna_gain", "--trials", "0",
+                        "--grid-stop", "0.7", "--grid-step", "0.1", "--outdir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    csvs = sorted(tmp_path.glob("relay_antenna_gain_*.csv"))
+    assert len(csvs) == 4
+    for path in csvs:
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == 8 and rows[-1].startswith("0.7,"), path
+    config = tmp_path / "run.cfg"
+    config.write_text("n_s = 2\nn_r1 = 2\nn_r2 = 2\nn_d = 2\nmode = receive\n"
+                      "gamma_t_db = 10\ngrid_start_db = 0\ngrid_stop_db = 0.7\n"
+                      f"grid_step_db = 0.1\nout_csv = {tmp_path / 'sweep.csv'}\n")
+    assert main(["sweep", "--config", str(config)]) == 0
+    assert ((tmp_path / "sweep.csv").read_bytes()
+            == (tmp_path / "relay_antenna_gain_2222_receive_sym.csv").read_bytes())
+
+
+@pytest.mark.parametrize("step", ["0", "-5"])
+def test_outage_curves_script_rejects_a_bad_grid_step(tmp_path, step):
+    result = run_script("outage_curves.py", "--grid-step", step, "--outdir", str(tmp_path / "out"))
+    assert result.returncode == 2
+    assert "error: need a grid step > 0 and a grid stop >= the grid start" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 DIVERSITY_ORDERS_STDOUT = """\

@@ -99,11 +99,11 @@ def received_powers(h_sr, h_rd, beams, p_s, p_r):
     return cov_r, cov_d
 
 
-def power_identity_residual(h_sr, h_rd, beams, budget):
+def power_identity_residual(h_sr, h_rd, beams, p_s, p_r):
     """Per trial, the larger gap between the covariance-expansion received
-    powers and the compact p * |inner product|^2 + 1 forms.  Non-unit
-    beamformers break the relay-side identity."""
-    p_s, p_r = budget.effective_p_s, budget.effective_p_r
+    powers and the compact p * |inner product|^2 + 1 forms at effective
+    powers ``p_s`` and ``p_r``.  Non-unit beamformers break the relay-side
+    identity."""
     cov_r, cov_d = received_powers(h_sr, h_rd, beams, p_s, p_r)
     h = np.einsum("nij,jn->ni", h_sr, beams.t_s)
     g = np.einsum("nij,jn->ni", h_rd, beams.t_d)
