@@ -74,22 +74,23 @@ def main() -> int:
     parser.add_argument("--group", choices=sorted(GROUPS), default=None,
                         help="run a single experiment group")
     args = parser.parse_args()
-    try:
+    groups = {args.group: GROUPS[args.group]} if args.group else GROUPS
+    try:  # every run is checked before the first output
         grid = db_grid(args.grid_start, args.grid_stop, args.grid_step)
+        runs = [(group, antennas, mode, key, run_config(antennas, mode, key, grid, args))
+                for group, entries in groups.items()
+                for antennas, mode, budget_keys in entries
+                for key in budget_keys]
     except ValueError as exc:
         parser.error(str(exc))
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    groups = {args.group: GROUPS[args.group]} if args.group else GROUPS
-    for group, entries in groups.items():
-        for antennas, mode, budget_keys in entries:
-            for key in budget_keys:
-                run = run_config(antennas, mode, key, grid, args)
-                curve = build_curve(run)
-                name = "".join(map(str, antennas))
-                path = args.outdir / f"{group}_{name}_{mode.value}_{key}.csv"
-                write_csv(curve, path)
-                print(f"wrote {path} ({len(curve.rows)} points)")
+    for group, antennas, mode, key, run in runs:
+        curve = build_curve(run)
+        name = "".join(map(str, antennas))
+        path = args.outdir / f"{group}_{name}_{mode.value}_{key}.csv"
+        write_csv(curve, path)
+        print(f"wrote {path} ({len(curve.rows)} points)")
     return 0
 
 

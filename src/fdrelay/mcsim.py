@@ -19,15 +19,18 @@ does.
 
 One batched kernel, ``_zf_trials``, is the only simulator: it serves both ZF
 modes, and a single trial is a batch of one.  It takes each block SUB_BATCH
-trials at a time, solves the Gram matrices (at most 3x3 in the paper's
-configurations) in closed form, and fails on any trial whose null
-|w_r^H H_rr w_t| exceeds ZF_NULL_TOL.
+trials at a time and solves the Gram matrices (at most 3x3 in the paper's
+configurations) in closed form.  A bad trial has one outcome: the run
+raises DegenerateChannelError.  That happens when a trial's loopback image
+is zero, which leaves no direction to null, or when its null
+|w_r^H H_rr w_t| exceeds ZF_NULL_TOL.  The image is H_rr w for a unit w
+independent of H_rr, so it is CN(0, I_k) with k >= 2 and is zero with
+probability 0.
 """
 
 from __future__ import annotations
 
 import atexit
-import logging
 import math
 import os
 import threading
@@ -39,16 +42,8 @@ import numpy as np
 
 from .outage import AntennaConfig, ZFMode
 
-log = logging.getLogger(__name__)
-
 #: Trials per RNG substream; fixed so block boundaries never move.
 BLOCK_SIZE = 1 << 16
-
-#: Norm below which a projector's defining vector counts as degenerate.
-DEGENERATE_TOL = 1e-150
-
-#: Fraction of redrawn degenerate trials above which a run fails loudly.
-MAX_REDRAW_FRACTION = 1e-5
 
 #: Trials per pass of the gain kernel and of the failure count within one
 #: RNG block; bounds their temporaries without moving any block boundary.
@@ -80,7 +75,8 @@ Z_95 = 1.959963984540054
 
 
 class DegenerateChannelError(RuntimeError):
-    """A normalization denominator underflowed (or too many did)."""
+    """A trial's ZF beamformers cannot null its loopback: the loopback image
+    is zero, or the null |w_r^H H_rr w_t| exceeds ZF_NULL_TOL."""
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -222,11 +218,10 @@ def _zf_trials(h_sr, h_rr, h_rd, mode: ZFMode):
     that beam's loopback image: (near, far, loop) is (h_sr, h_rd, h_rr) for
     receive ZF and (h_rd, h_sr, h_rr^H) for transmit ZF.
 
-    Returns (lam_sr, lam_rd, bad, beams): ``bad`` flags trials whose
-    loopback image underflowed, and ``beams`` is the tuple (t_s, t_d, w_r,
+    Returns (lam_sr, lam_rd, beams): ``beams`` is the tuple (t_s, t_d, w_r,
     w_t) of unit source, destination and relay receive and transmit vectors
-    as (length, n).  Raises DegenerateChannelError when another trial's null
-    |w_r^H H_rr w_t| exceeds ZF_NULL_TOL.
+    as (length, n).  Raises DegenerateChannelError when a trial's loopback
+    image is zero or its null |w_r^H H_rr w_t| exceeds ZF_NULL_TOL.
     """
     receive = mode is ZFMode.RECEIVE
     if receive:
@@ -237,61 +232,38 @@ def _zf_trials(h_sr, h_rr, h_rd, mode: ZFMode):
     w_far = _unit_cols(_matvec(far, t_far))
     image = _matvec(loop, w_far)
     nrm = np.linalg.norm(image, axis=0)
-    bad = nrm < DEGENERATE_TOL
-    projected = _project_off(near, image / np.where(bad, 1.0, nrm))
+    if (nrm == 0.0).any():
+        raise DegenerateChannelError("a trial's loopback image is zero: no direction to null")
+    projected = _project_off(near, image / nrm)
     lam_near, t_near = _top_eig(_col_gram(projected))
     w_near = _unit_cols(_matvec(projected, t_near))
-    null = np.abs((w_near.conj() * image).sum(axis=0))
-    worst = float(np.max(np.where(bad, 0.0, null)))
+    worst = float(np.max(np.abs((w_near.conj() * image).sum(axis=0))))
     if not worst <= ZF_NULL_TOL:
         raise DegenerateChannelError(f"ZF null residual {worst:.3g} exceeds {ZF_NULL_TOL:g}")
     if receive:
-        return lam_near, lam_far, bad, (t_near, t_far, w_near, w_far)
-    return lam_far, lam_near, bad, (t_far, t_near, w_far, w_near)
-
-
-def _gains_from_channels(h_sr, h_rr, h_rd, mode: ZFMode):
-    """Unit-scale per-hop gains (largest eigenvalues) for a trial batch.
-
-    Channels are (n, rows, cols) as sampled, taken SUB_BATCH trials at a
-    time.  Returns (lam_sr, lam_rd, bad) where ``bad`` flags trials whose
-    projector direction underflowed and whose gains are therefore invalid.
-    """
-    n = h_sr.shape[0]
-    lam_sr, lam_rd, bad = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-    for start in range(0, n, SUB_BATCH):
-        part = slice(start, start + SUB_BATCH)
-        lam_sr[part], lam_rd[part], bad[part], _ = _zf_trials(
-            _soa(h_sr[part]), _soa(h_rr[part]), _soa(h_rd[part]), mode)
-    return lam_sr, lam_rd, bad
+        return lam_near, lam_far, (t_near, t_far, w_near, w_far)
+    return lam_far, lam_near, (t_far, t_near, w_far, w_near)
 
 
 def _block_gains(rng: np.random.Generator, config: AntennaConfig, n: int):
-    h_sr, h_rr, h_rd = _sample_arrays(rng, config, n)
-    lam_sr, lam_rd, bad = _gains_from_channels(h_sr, h_rr, h_rd, config.mode)
-    redraws = 0
-    attempts = 0
-    while bad.any():
-        idx = np.flatnonzero(bad)
-        redraws += idx.size
-        attempts += 1
-        if attempts > 50:
-            raise DegenerateChannelError("persistent degenerate trials; giving up")
-        hs, hr, hd = _sample_arrays(rng, config, idx.size)
-        ls, lr, still_bad = _gains_from_channels(hs, hr, hd, config.mode)
-        lam_sr[idx] = ls
-        lam_rd[idx] = lr
-        bad = np.zeros_like(bad)
-        bad[idx[still_bad]] = True
-    return lam_sr, lam_rd, redraws
+    """Unit-scale hop gains (lam_sr, lam_rd), the largest eigenvalues, of
+    ``n`` trials drawn from ``rng``; the kernel takes them SUB_BATCH at a
+    time."""
+    channels = _sample_arrays(rng, config, n)
+    lam_sr, lam_rd = np.empty(n), np.empty(n)
+    for start in range(0, n, SUB_BATCH):
+        part = slice(start, start + SUB_BATCH)
+        lam_sr[part], lam_rd[part], _ = _zf_trials(*(_soa(h[part]) for h in channels),
+                                                   config.mode)
+    return lam_sr, lam_rd
 
 
 def _block_failures(seed: int, block: int, config: AntennaConfig, n: int,
                     scales_sr: np.ndarray, scales_rd: np.ndarray, gamma_t: float):
-    """Failure counts at every grid point, and redraws, of one block's own
-    substream; what a worker runs."""
-    lam_sr, lam_rd, redraws = _block_gains(make_rng(seed, block), config, n)
-    return outage_from_gains((lam_sr, lam_rd), scales_sr, scales_rd, gamma_t), redraws
+    """Failure counts at every grid point of one block's own substream; what
+    a worker runs."""
+    gains = _block_gains(make_rng(seed, block), config, n)
+    return outage_from_gains(gains, scales_sr, scales_rd, gamma_t)
 
 
 #: This process's pool of block workers; made by ``_block_pool`` on first
@@ -412,17 +384,8 @@ def link_gain_samples(config: AntennaConfig, trials: int, seed: int,
     scales_rd = np.asarray(scales_rd, dtype=float)
     sizes = [min(BLOCK_SIZE, trials - start) for start in range(0, trials, BLOCK_SIZE)]
     failures = np.zeros(scales_sr.size, dtype=np.int64)
-    redraws = 0
-    for block_failures, block_redraws in _run_blocks(seed, config, sizes,
-                                                     scales_sr, scales_rd, gamma_t):
+    for block_failures in _run_blocks(seed, config, sizes, scales_sr, scales_rd, gamma_t):
         failures += block_failures
-        redraws += block_redraws
-    if redraws:
-        log.warning("redrew %d degenerate trial(s) of %d", redraws, trials)
-        if redraws > trials * MAX_REDRAW_FRACTION:
-            raise DegenerateChannelError(
-                f"{redraws} degenerate trials out of {trials} exceeds tolerance"
-            )
     return (failures,)
 
 

@@ -4,7 +4,7 @@ projected draws for the ZF projection reduction."""
 
 import numpy as np
 
-from fdrelay.mcsim import DEGENERATE_TOL, _col_gram, _matvec, _project_off, _randn_c, _soa, _top_eig
+from fdrelay.mcsim import _col_gram, _matvec, _project_off, _randn_c, _soa, _top_eig
 from fdrelay.wishart import WishartDims
 
 
@@ -30,6 +30,5 @@ def projected_max_eig_samples(
     mix = _randn_c(rng, (trials, rows, aux))
     x = _randn_c(rng, (trials, aux))
     w = _matvec(_soa(mix), x.T)
-    nrm = np.linalg.norm(w, axis=0)
-    projected = _project_off(_soa(h), w / np.where(nrm < DEGENERATE_TOL, 1.0, nrm))
+    projected = _project_off(_soa(h), w / np.linalg.norm(w, axis=0))
     return _top_eig(_col_gram(projected))[0]

@@ -223,8 +223,7 @@ def test_criterion_8_model_identities():
     trials_per_mode = 5_000
     for mode, seed in ((ZFMode.RECEIVE, 800), (ZFMode.TRANSMIT, 801)):
         cfg = AntennaConfig(2, 3, 2, 2, mode)
-        (h_sr, h_rr, h_rd), _, _, bad, beams = draw_trials(cfg, trials_per_mode, seed)
-        assert not bad.any()
+        (h_sr, h_rr, h_rd), _, _, beams = draw_trials(cfg, trials_per_mode, seed)
         worst_zf = max(worst_zf, float(np.max(zf_null(h_rr, beams))))
         worst_power = max(worst_power,
                           float(np.max(power_identity_residual(h_sr, h_rd, beams, 2.0, 3.0))))

@@ -435,7 +435,7 @@ def test_parse_accepts_largest_grid(tmp_path):
 
 def test_parse_accepts_most_trials(tmp_path):
     # parse only: a run of this size takes minutes
-    assert parse_run_config(write_config(tmp_path, trials=2 ** 32)).trials == cli.MAX_TRIALS
+    assert parse_run_config(write_config(tmp_path, trials=2 ** 32)).trials == curves.MAX_TRIALS
 
 
 def test_sweep_uses_cache_dir(tmp_path):
@@ -556,6 +556,22 @@ def test_compare_reports_a_killed_worker(tmp_path):
     assert result.returncode == 1
     assert "fdrelay: a Monte Carlo worker process failed" in result.stderr
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+def test_compare_exits_1_on_a_zero_loopback_image(tmp_path, capsys, monkeypatch):
+    sample = mcsim._sample_arrays
+
+    def zero_loopback(rng, config, n):
+        h_sr, h_rr, h_rd = sample(rng, config, n)
+        h_rr[3] = 0.0
+        return h_sr, h_rr, h_rd
+
+    monkeypatch.setattr(mcsim, "_sample_arrays", zero_loopback)
+    cfg = write_config(tmp_path, trials=20_000, grid_stop_db=15)  # one block, run here
+    assert main(["compare", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "fdrelay: a trial's loopback image is zero: no direction to null" in err
+    assert "Traceback" not in err
 
 
 # -- diversity subcommand -----------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Monte Carlo simulator: channel statistics, beamformers, outage estimates."""
 
-import logging
 import math
 import multiprocessing
 import os
@@ -18,8 +17,8 @@ from fdrelay.mcsim import (
     BLOCK_SIZE,
     SUB_BATCH,
     DegenerateChannelError,
+    _block_gains,
     _col_gram,
-    _gains_from_channels,
     _sample_arrays,
     _soa,
     _top_eig,
@@ -102,13 +101,12 @@ def test_projector_laws():
 
 def test_projector_rejects_zero_vector():
     # A zero loopback image has no direction to project off: the kernel
-    # flags that trial instead of dividing by its norm.
+    # raises before it divides by the image's norm.
     h_sr, h_rr, h_rd = _sample_arrays(make_rng(4), RX_CFG, 3)
     h_rr[1] = 0.0
     for mode in ZFMode:
-        lam_sr, lam_rd, bad, _ = _zf_trials(_soa(h_sr), _soa(h_rr), _soa(h_rd), mode)
-        assert bad.tolist() == [False, True, False]
-        assert np.all(np.isfinite(lam_sr)) and np.all(np.isfinite(lam_rd))
+        with pytest.raises(DegenerateChannelError, match="loopback image is zero"):
+            _zf_trials(_soa(h_sr), _soa(h_rr), _soa(h_rd), mode)
 
 
 # -- beamformer designs ---------------------------------------------------------
@@ -129,8 +127,7 @@ def _projected_gains(h, p, t):
 
 
 def test_receive_zf_design_properties():
-    (h_sr, h_rr, _), lam_sr, _, bad, beams = draw_trials(RX_CFG, 200, seed=10)
-    assert not bad.any()
+    (h_sr, h_rr, _), lam_sr, _, beams = draw_trials(RX_CFG, 200, seed=10)
     assert _norms_ok(beams)
     assert np.max(zf_null(h_rr, beams)) <= 1e-10
     # beamformed gain equals the projected Gram's top eigenvalue
@@ -141,8 +138,7 @@ def test_receive_zf_design_properties():
 
 
 def test_transmit_zf_design_properties():
-    (_, h_rr, h_rd), _, lam_rd, bad, beams = draw_trials(TX_CFG, 200, seed=11)
-    assert not bad.any()
+    (_, h_rr, h_rd), _, lam_rd, beams = draw_trials(TX_CFG, 200, seed=11)
     assert _norms_ok(beams)
     assert np.max(zf_null(h_rr, beams)) <= 1e-10
     proj = projectors(loopback_direction(h_rr, beams, TX_CFG.mode))
@@ -161,12 +157,11 @@ def test_snrs_hand_computed_case():
     h_sr = np.array([[2.0], [3.0]], dtype=complex)
     h_rr = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
     h_rd = np.array([[1.0], [0.0]], dtype=complex)
-    lam_sr, lam_rd, bad, beams = _zf_trials(
+    lam_sr, lam_rd, beams = _zf_trials(
         *(_soa(h[None]) for h in (h_sr, h_rr, h_rd)), ZFMode.RECEIVE)
     p_s, p_r = 2.0, 3.0
     # t_d = 1, h_rd_eff = e1, loopback image = e2, projector keeps e1:
     # SR gain |2|^2 = 4, RD gain |h_rd|^2 = 1
-    assert not bad[0]
     assert p_s * lam_sr[0] == pytest.approx(2.0 * 4.0, rel=1e-12)
     assert p_r * lam_rd[0] == pytest.approx(3.0 * 1.0, rel=1e-12)
     assert zf_null(h_rr[None], BeamformerSet(*beams))[0] <= 1e-12
@@ -194,13 +189,11 @@ def test_batch_and_scalar_paths_agree():
     # a batch of one gives the same gains as that trial inside a larger,
     # sub-batched run
     for cfg in (RX_CFG, TX_CFG):
+        # the block draws these same channels from the same substream
         channels = _sample_arrays(make_rng(17), cfg, SUB_BATCH + 3)
-        lam_sr, lam_rd, bad = _gains_from_channels(*channels, cfg.mode)
-        assert not bad.any()
+        lam_sr, lam_rd = _block_gains(make_rng(17), cfg, SUB_BATCH + 3)
         for i in (0, SUB_BATCH + 1):
-            one_sr, one_rd, one_bad, _ = _zf_trials(*(_soa(h[i:i + 1]) for h in channels),
-                                                     cfg.mode)
-            assert not one_bad[0]
+            one_sr, one_rd, _ = _zf_trials(*(_soa(h[i:i + 1]) for h in channels), cfg.mode)
             assert one_sr[0] == pytest.approx(lam_sr[i], rel=1e-12)
             assert one_rd[0] == pytest.approx(lam_rd[i], rel=1e-12)
 
@@ -209,11 +202,10 @@ def test_sub_batch_sizes_up_to_8192_give_identical_bits(monkeypatch):
     # fixed-seed numbers must not depend on SUB_BATCH; at 2**14 those of
     # (3,4,3,3) receive would
     for cfg in (RX_CFG, TX_CFG, AntennaConfig(3, 4, 3, 3, ZFMode.RECEIVE)):
-        channels = _sample_arrays(make_rng(3), cfg, 1 << 14)
         gains = []
         for size in sorted({1 << 11, 1 << 12, 1 << 13, SUB_BATCH}):
             monkeypatch.setattr(mcsim, "SUB_BATCH", size)
-            gains.append(_gains_from_channels(*channels, cfg.mode))
+            gains.append(_block_gains(make_rng(3), cfg, 1 << 14))
         for other in gains[1:]:
             assert all(np.array_equal(x, y) for x, y in zip(gains[0], other)), (cfg, size)
 
@@ -278,56 +270,6 @@ def test_estimate_outage_matches_closed_form():
     (row,) = build_curve(make_run((2, 3, 2, 1), "receive", (15.0,), trials=trials, seed=3)).rows
     se = math.sqrt(row.analytic * (1 - row.analytic) / trials)
     assert abs(row.mc - row.analytic) <= 4.0 * se
-
-
-# -- degenerate trials -------------------------------------------------------------------
-
-
-def _zero_loopback(monkeypatch, trials_hit):
-    """Make ``_sample_arrays`` return h_rr = 0 for the given trial indices of
-    the first ``len(trials_hit)`` draws (every draw when trials_hit is None)."""
-    sample = mcsim._sample_arrays
-    calls = []
-
-    def patched(rng, config, n):
-        h_sr, h_rr, h_rd = sample(rng, config, n)
-        calls.append(n)
-        if trials_hit is None:
-            h_rr[:] = 0.0
-        elif len(calls) <= len(trials_hit):
-            h_rr[trials_hit[len(calls) - 1]] = 0.0
-        return h_sr, h_rr, h_rd
-
-    monkeypatch.setattr(mcsim, "_sample_arrays", patched)
-    return calls
-
-
-def test_degenerate_trials_are_redrawn(monkeypatch, caplog):
-    monkeypatch.setattr(mcsim, "MAX_REDRAW_FRACTION", 1e-2)
-    # three degenerate trials in the block, then one of the redraws again
-    calls = _zero_loopback(monkeypatch, [[5, 17, 400], [1]])
-    lam_sr, lam_rd, redraws = mcsim._block_gains(make_rng(2), RX_CFG, 1000)
-    assert calls == [1000, 3, 1] and redraws == 4
-    assert np.all(np.isfinite(lam_sr)) and np.all(np.isfinite(lam_rd))
-    assert np.all(lam_sr > 0.0) and np.all(lam_rd > 0.0)
-    calls.clear()
-    with caplog.at_level(logging.WARNING, logger=mcsim.__name__):
-        (failures,) = link_gain_samples(RX_CFG, 1000, 2, [1.0], [1.0], 1.0)
-    assert calls == [1000, 3, 1]
-    assert failures.tolist() == outage_from_gains((lam_sr, lam_rd), [1.0], [1.0], 1.0).tolist()
-    assert "redrew 4 degenerate trial(s) of 1000" in caplog.text
-
-
-def test_degenerate_redraws_beyond_tolerance_raise(monkeypatch):
-    _zero_loopback(monkeypatch, [[5, 17, 400]])
-    with pytest.raises(DegenerateChannelError, match="exceeds tolerance"):
-        link_gain_samples(RX_CFG, 1000, 2, [1.0], [1.0], 1.0)
-
-
-def test_persistent_degenerate_trials_raise(monkeypatch):
-    _zero_loopback(monkeypatch, None)
-    with pytest.raises(DegenerateChannelError, match="persistent"):
-        link_gain_samples(RX_CFG, 100, 2, [1.0], [1.0], 1.0)
 
 
 def _reference_gains(config, trials, seed):
@@ -426,7 +368,7 @@ def test_pool_gets_a_bounded_number_of_blocks_ahead(monkeypatch):
     ahead = mcsim.BLOCKS_AHEAD_PER_WORKER * mcsim._usable_cpus()
     sizes, scales = [500] * (3 * ahead), np.array([1.0, 10.0])
     blocks = mcsim._run_blocks(1, RX_CFG, sizes, scales, scales, 5.0)
-    for done, (failures, _) in enumerate(blocks, start=1):
+    for done, failures in enumerate(blocks, start=1):
         assert len(submitted) == min(len(sizes), done - 1 + ahead)
         assert failures.shape == (2,)
     assert submitted == list(range(len(sizes)))
@@ -464,6 +406,46 @@ def test_worker_error_reaches_caller_as_inline(mode):
     assert inline[0] == pooled[0] == "DegenerateChannelError"
     assert pooled[1] == "_RemoteTraceback"  # raised in a worker
     assert inline[2] == pooled[2] and "ZF null residual" in inline[2]
+
+
+# The run's second block is a part block of 100 trials, and only its trial 7
+# has a zero loopback channel.
+ZERO_LOOPBACK = """
+from fdrelay import mcsim
+from fdrelay.outage import AntennaConfig, ZFMode
+
+sample = mcsim._sample_arrays
+
+def zero_loopback(rng, config, n):
+    h_sr, h_rr, h_rd = sample(rng, config, n)
+    if n < mcsim.BLOCK_SIZE:
+        h_rr[7] = 0.0
+    return h_sr, h_rr, h_rd
+
+mcsim._sample_arrays = zero_loopback
+cfg = AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE)
+for pool in (mcsim._block_pool, lambda: None):
+    mcsim._block_pool = pool
+    try:
+        mcsim.link_gain_samples(cfg, mcsim.BLOCK_SIZE + 100, 3, [1.0], [1.0], 1.0)
+        print("no error")
+    except Exception as exc:
+        print(type(exc).__name__, type(exc.__cause__).__name__, exc, sep="|")
+"""
+
+
+def test_zero_loopback_image_fails_the_run():
+    # one zero image in a 2-block run has no direction to null: the run
+    # raises, with the same error from a worker as from the calling process
+    result = subprocess.run([sys.executable, "-c", ZERO_LOOPBACK],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    pooled, inline = (line.split("|") for line in result.stdout.splitlines())
+    assert pooled[0] == inline[0] == "DegenerateChannelError"
+    assert pooled[1] == ("_RemoteTraceback" if POOLED else "NoneType")
+    assert inline[1] == "NoneType"
+    assert pooled[2] == inline[2] == "a trial's loopback image is zero: no direction to null"
 
 
 ORPHANED_WORKERS = """

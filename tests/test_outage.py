@@ -1,6 +1,7 @@
 """Closed-form outage: per-hop CDFs, end-to-end combination, diversity."""
 
 import math
+import re
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -58,6 +59,28 @@ def test_run_config_unit_scales():
             make_run((2, 3, 2, 1), "receive", (10.0,), **bad).unit_scales()
         with pytest.raises(ValueError, match="must be > 0"):
             make_run((2, 3, 2, 1), "receive", (10.0,), **bad).hop_scales()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": -1}, "trials must be >= 0"),
+    ({"trials": 2 ** 32 + 1}, "trials must be <= 2**32"),
+    ({"seed": -1}, "seed must be in [0, 2**128)"),
+    ({"seed": 2 ** 128}, "seed must be in [0, 2**128)"),
+    ({"grid_db": (0.0, 4000.0)}, "the sr hop's linear scale"),
+    ({"grid_db": (-4000.0, 0.0)}, "the sr hop's linear scale"),
+    ({"alphas": (1.0, 1e-170)}, "the rd hop's linear scale"),
+])
+def test_run_config_checks_its_ranges(kwargs, message):
+    args = {"grid_db": (0.0, 30.0)} | kwargs
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_run((2, 3, 2, 1), "receive", **args)
+
+
+def test_run_config_without_a_grid_skips_the_scale_check():
+    # the exact diversity check runs on a grid-free config
+    assert make_run((2, 3, 2, 1), "receive", (), alphas=(1.0, 1e-170)).grid_db == ()
+    with pytest.raises(ValueError, match="seed must be"):
+        make_run((2, 3, 2, 1), "receive", (), seed=-1)
 
 
 def test_outage_query_validation():

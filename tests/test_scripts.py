@@ -57,6 +57,21 @@ def test_outage_curves_script_rejects_a_bad_grid_step(tmp_path, step):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--grid-start", "3000", "--grid-stop", "4000", "--grid-step", "500"],
+     "the sr hop's linear scale alpha_sr**2 * p_s * gammabar is out of range"),
+    (["--trials", "-1"], "trials must be >= 0, got -1"),
+    (["--seed", "-5"], "seed must be in [0, 2**128), got -5"),
+])
+def test_outage_curves_script_checks_its_runs_first(tmp_path, args, message):
+    # the run checks of a config file, made before any output exists
+    result = run_script("outage_curves.py", *args, "--outdir", str(tmp_path / "out"))
+    assert result.returncode == 2
+    assert f"error: {message}" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
 DIVERSITY_ORDERS_STDOUT = """\
 (2, 3, 2, 1)  receive: predicted order 2, exact hop orders sr 4 rd 2, coding gain -8.495 dB -> PASS
 (2, 3, 2, 1) transmit: predicted order 1, exact hop orders sr 6 rd 1, coding gain -10.000 dB -> PASS

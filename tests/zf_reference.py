@@ -38,14 +38,14 @@ def gain_samples(config, trials, seed):
     each block's ``_block_gains`` on its own substream, in block order."""
     blocks = [_block_gains(make_rng(seed, block), config, min(BLOCK_SIZE, trials - start))
               for block, start in enumerate(range(0, trials, BLOCK_SIZE))]
-    return tuple(np.concatenate(part) for part in list(zip(*blocks))[:2])
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def draw_trials(config, n, seed):
-    """``n`` fixed-seed trials through the kernel: (channels, lam_sr, lam_rd, bad, beams)."""
+    """``n`` fixed-seed trials through the kernel: (channels, lam_sr, lam_rd, beams)."""
     channels = _sample_arrays(make_rng(seed), config, n)
-    lam_sr, lam_rd, bad, beams = _zf_trials(*map(_soa, channels), config.mode)
-    return channels, lam_sr, lam_rd, bad, BeamformerSet(*beams)
+    lam_sr, lam_rd, beams = _zf_trials(*map(_soa, channels), config.mode)
+    return channels, lam_sr, lam_rd, BeamformerSet(*beams)
 
 
 def zf_null(h_rr, beams):
