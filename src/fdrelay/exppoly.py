@@ -5,17 +5,16 @@ An *exponential polynomial* here is a finite sum
     p(x) = sum_{(k, l)} c_{k,l} * x**l * exp(-k*x)
 
 with non-negative integer exponents ``k`` (decay index) and ``l`` (power),
-and exact rational coefficients ``c_{k,l}``.  This family is closed under
-addition, multiplication and differentiation, which is everything needed to
-manipulate the eigenvalue densities and CDFs that arise from small complex
-Gaussian matrices.  No floating point enters this module.
+and exact rational coefficients ``c_{k,l}``.  The largest-eigenvalue CDFs
+of small complex Gaussian matrices are determinants of such entries, and
+this module computes those determinants exactly; an ``ExpPoly`` itself only
+holds terms, lists them and scales them.  No floating point enters this
+module.
 
 Canonical form: terms are keyed by ``(k, l)``, zero coefficients are never
 stored, and iteration order is k ascending / l descending within each k.
-That ordering makes "read off the slowest-decaying remaining term" a plain
-dictionary lookup.
 
-Products and determinants run on packed integers (Kronecker substitution).
+Determinants run on packed integers (Kronecker substitution).
 With denominators cleared, the x-polynomial at each decay index k becomes
 one Python int, its value at x = 2**W, so that multiplying two polynomials
 takes a handful of big-integer products.  The slot width W comes from
@@ -61,110 +60,22 @@ class ExpPoly:
                     canon[(k, l)] = c
         self._terms = canon
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "ExpPoly":
-        return cls({(0, 0): Fraction(1)})
-
-    # -- inspection -------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def items(self) -> Iterator[tuple[Key, Fraction]]:
         """Terms in canonical order: k ascending, l descending within k."""
         for key in sorted(self._terms, key=lambda kl: (kl[0], -kl[1])):
             yield key, self._terms[key]
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        if not isinstance(other, ExpPoly):
+    def __mul__(self, other: Scalar) -> "ExpPoly":
+        """Scalar multiple; products of two ExpPolys happen inside ``determinant``."""
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return ExpPoly._raw(out)
-
-    def __radd__(self, other):
-        # supports sum(...) with integer start 0
-        if other == 0:
-            return self
-        return NotImplemented
-
-    def __neg__(self) -> "ExpPoly":
-        return ExpPoly._raw({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: Union["ExpPoly", Scalar]) -> "ExpPoly":
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return ExpPoly.zero()
-            return ExpPoly._raw({key: v * c for key, v in self._terms.items()})
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        sx, sy = _denominator_lcm([self]), _denominator_lcm([other])
-        x, y = _slices(self, sx), _slices(other, sy)
-        w = _slot_width(_norms(x)[0] * _norms(y)[1])
-        return _from_slices(_unpack(_product(_pack(x, w), _pack(y, w)), w), sx * sy)
-
-    def __rmul__(self, other: Scalar) -> "ExpPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def differentiate(self) -> "ExpPoly":
-        """Exact d/dx:  a*x**l*e^{-kx}  ->  a*l*x**(l-1)*e^{-kx} - a*k*x**l*e^{-kx}."""
-        out: dict[Key, Fraction] = {}
-
-        def bump(key: Key, c: Fraction) -> None:
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-
-        for (k, l), c in self._terms.items():
-            if l > 0:
-                bump((k, l - 1), c * l)
-            if k > 0:
-                bump((k, l), -c * k)
-        return ExpPoly._raw(out)
-
-    # -- equality / hashing -------------------------------------------------
+        c = Fraction(other)
+        return ExpPoly._raw({key: v * c for key, v in self._terms.items()} if c else {})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -364,7 +275,7 @@ def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
     for p in range(n - 1):
         pivot_row = next((i for i in range(p, n) if a[i][p]), None)
         if pivot_row is None:
-            return ExpPoly.zero()
+            return ExpPoly()
         if pivot_row != p:
             for rows in (a, norms, row_l1):
                 rows[p], rows[pivot_row] = rows[pivot_row], rows[p]

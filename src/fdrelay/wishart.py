@@ -7,9 +7,10 @@ density expressible as a signed mixture of Erlang-type terms
     f(x) = sum_{n=1..a} sum_{m=|b-a|..(a+b)n-2n^2}  w[n,m] * n^{m+1}/m! * x^m * e^{-n x}
 
 with exact rational weights ``w[n, m]`` that sum to one.  This module builds
-the density symbolically (determinant of a matrix of lower incomplete gamma
-functions, then one derivative) and peels the weights off term by term with
-exact rational arithmetic; there is no fitting and no floating point.
+the CDF symbolically (Kang & Alouini: a determinant of a matrix of lower
+incomplete gamma functions) and reads the weights straight off its
+coefficients with exact rational arithmetic; there is no fitting and no
+floating point.
 
 The weight table is the single data object the closed-form outage
 expressions consume, so it also carries a lossless text cache format.
@@ -34,9 +35,11 @@ CACHE_VERSION = 1
 
 
 class NonzeroResidualError(RuntimeError):
-    """The extraction loop did not consume the entire density.
+    """The exact CDF is not a mixture of the declared Erlang components.
 
-    This is a hard failure: it means the index bookkeeping or the symbolic
+    Raised when the CDF has a term outside the declared index ranges, a
+    nonzero weight below m = b - a, or a value at 0 other than zero.  This
+    is a hard failure: it means the index bookkeeping or the symbolic
     algebra is wrong, never a numerical artefact.
     """
 
@@ -113,11 +116,6 @@ def max_eig_cdf(dims: WishartDims) -> ExpPoly:
     return determinant(gram_entries(dims)) * normalization_constant(dims)
 
 
-def max_eig_density(dims: WishartDims) -> ExpPoly:
-    """Exact density of the largest eigenvalue (derivative of the CDF)."""
-    return max_eig_cdf(dims).differentiate()
-
-
 @dataclass(frozen=True)
 class CoeffTable:
     """Signed Erlang-mixture weights of a largest-eigenvalue law.
@@ -137,14 +135,6 @@ class CoeffTable:
         """Exact sum of all weights (one for a valid table)."""
         return sum(self.entries.values(), Fraction(0))
 
-    def density(self) -> ExpPoly:
-        """Rebuild the density ExpPoly from the weights (exact)."""
-        terms: Dict[Key, Fraction] = {}
-        for (n, m), w in self.entries.items():
-            if w:
-                terms[(n, m)] = w * Fraction(n ** (m + 1), factorial(m))
-        return ExpPoly(terms)
-
 
 def expected_keys(dims: WishartDims) -> list[Key]:
     """Index ranges of the mixture, in extraction order (n up, m down)."""
@@ -157,43 +147,44 @@ def expected_keys(dims: WishartDims) -> list[Key]:
 
 
 def extract_coefficients(dims: WishartDims) -> CoeffTable:
-    """Compute the exact mixture weights for the given dimensions."""
-    density = max_eig_density(dims)
-    entries = _extract_from_density(density, dims)
-    return CoeffTable(
-        dims=dims,
-        norm_const=normalization_constant(dims),
-        entries=entries,
-    )
+    """Compute the exact mixture weights for the given dimensions.
 
-
-def _extract_from_density(density: ExpPoly, dims: WishartDims) -> Dict[Key, Fraction]:
-    """Peel the density into mixture weights; the residual must vanish.
-
-    Visits keys with n ascending and m descending, takes the coefficient c
-    at (n, m) out of the density's terms and records the weight
-    c * m! / n^{m+1}.  A term left at any key outside ``expected_keys`` is
-    a hard error.
+    Component (n, m) has the CDF P(m+1, n x) = 1 - e^{-n x} sum_{j<=m} (n x)^j / j!,
+    so the CDF's coefficient of x^j e^{-n x} is c[n, j] = -n^j / j! * S[n, j]
+    with the tail sums S[n, j] = sum_{m>=j} w[n, m].  Each weight is then
+    w[n, m] = S[n, m] - S[n, m+1].  Raises NonzeroResidualError on a term
+    outside the declared ranges, on a nonzero weight below m = b - a, and
+    unless c[0, 0] = sum w, that is F(0) = 0.
     """
-    residual = dict(density.items())
-    entries: Dict[Key, Fraction] = {}
-    for n, m in expected_keys(dims):
-        c = residual.pop((n, m), Fraction(0))
-        entries[(n, m)] = c * Fraction(factorial(m), n ** (m + 1))
-    if residual:
-        raise NonzeroResidualError(
-            f"extraction residual is nonzero for dims a={dims.a}, b={dims.b}: "
-            f"{ExpPoly(residual)!r}"
-        )
-    return entries
+    a, b = dims.a, dims.b
+    cdf = dict(max_eig_cdf(dims).items())
+    total = cdf.pop((0, 0), Fraction(0))
+    tails: Dict[Key, Fraction] = {}
+    for (n, j), c in cdf.items():
+        if not (1 <= n <= a and j <= (a + b - 2 * n) * n):
+            raise NonzeroResidualError(
+                f"CDF term x^{j} e^(-{n}x) is outside the mixture for dims a={a}, b={b}")
+        tails[n, j] = -c * Fraction(factorial(j), n ** j)
+    zero = Fraction(0)
+    for n in range(1, a + 1):
+        if any(tails.get((n, j), zero) != tails.get((n, b - a), zero) for j in range(b - a)):
+            raise NonzeroResidualError(
+                f"nonzero weight below m = {b - a} at n = {n} for dims a={a}, b={b}")
+    entries = {(n, m): tails.get((n, m), zero) - tails.get((n, m + 1), zero)
+               for n, m in expected_keys(dims)}
+    if total != sum(entries.values()):
+        raise NonzeroResidualError(f"CDF is not 0 at x = 0 for dims a={a}, b={b}")
+    return CoeffTable(dims=dims, norm_const=normalization_constant(dims), entries=entries)
 
 
 def cdf_taylor(table: CoeffTable, order: int) -> list[Fraction]:
     """Exact Taylor coefficients t_0..t_order at 0 of the CDF, the integral of
-    the density f = sum c[n, m] x^m e^{-n x}: t_0 = 0 and t_j = [x^{j-1}] f / j.
-    They vanish below j = a*b, the hop's diversity order."""
+    the density f = sum w[n, m] n^{m+1}/m! x^m e^{-n x}: t_0 = 0 and
+    t_j = [x^{j-1}] f / j.  They vanish below j = a*b, the hop's diversity
+    order."""
     density = [0] * order  # density[i] = [x^i] f
-    for (n, m), c in table.density().items():
+    for (n, m), w in table.entries.items():
+        c = w * Fraction(n ** (m + 1), factorial(m))
         for i in range(order - m):
             density[m + i] += c * Fraction((-n) ** i, factorial(i))
     return [Fraction(0)] + [Fraction(d) / (i + 1) for i, d in enumerate(density)]
@@ -278,8 +269,9 @@ def load_table(path: str | Path) -> CoeffTable:
             (int(e["n"]), int(e["m"])): _parse_frac(e["D"]) for e in payload["entries"]
         }
         provenance = payload.get("provenance", "")
-    except (KeyError, TypeError, ValueError) as exc:
+        keys_match = sorted(entries) == sorted(expected_keys(dims))
+    except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise CacheFormatError(f"{path}: malformed fields: {exc}") from exc
-    if sorted(entries) != sorted(expected_keys(dims)):
+    if not keys_match:
         raise CacheFormatError(f"{path}: entry index set does not match dims")
     return CoeffTable(dims=dims, norm_const=norm, entries=entries, provenance=provenance)

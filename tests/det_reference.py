@@ -1,13 +1,41 @@
-"""Test-side reference determinant: memoised cofactor expansion.
+"""Test-side exact references: a naive exponential-polynomial ring and a
+memoised cofactor determinant over it.
 
-``exppoly.determinant`` eliminates fraction-free with exact ring division;
-this expands along rows instead and uses only ring multiplication and
-addition, so the two share no algorithm beyond the ExpPoly ring itself.
+``exppoly.determinant`` multiplies packed big integers inside fraction-free
+elimination with exact ring division. Here a product multiplies term dicts
+one pair of terms at a time, and the determinant expands along rows with
+products and sums only, so the two share no arithmetic beyond ``Fraction``.
+From ``fdrelay.exppoly`` this uses only the ``ExpPoly`` constructor and
+``items``.
 """
 
+from fractions import Fraction
 from typing import Sequence
 
 from fdrelay.exppoly import ExpPoly
+
+
+def add(*polys: ExpPoly) -> ExpPoly:
+    """Exact sum of any number of ExpPolys."""
+    out: dict = {}
+    for p in polys:
+        for key, c in p.items():
+            out[key] = out.get(key, Fraction(0)) + c
+    return ExpPoly(out)
+
+
+def neg(p: ExpPoly) -> ExpPoly:
+    return ExpPoly({key: -c for key, c in p.items()})
+
+
+def mul(p: ExpPoly, q: ExpPoly) -> ExpPoly:
+    """Exact product, term by term: decay indices and powers add."""
+    out: dict = {}
+    for (k1, l1), c1 in p.items():
+        for (k2, l2), c2 in q.items():
+            key = (k1 + k2, l1 + l2)
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return ExpPoly(out)
 
 
 def det_cofactor(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
@@ -23,15 +51,11 @@ def det_cofactor(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
         if cached is not None:
             return cached
         row = n - len(cols)
-        acc = ExpPoly.zero()
+        terms = []
         for pos, col in enumerate(cols):
-            entry = matrix[row][col]
-            if entry.is_zero:
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1:])
-            contrib = entry * sub
-            acc = acc + contrib if pos % 2 == 0 else acc - contrib
-        memo[cols] = acc
-        return acc
+            contrib = mul(matrix[row][col], minor(cols[:pos] + cols[pos + 1:]))
+            terms.append(contrib if pos % 2 == 0 else neg(contrib))
+        memo[cols] = add(*terms)
+        return memo[cols]
 
     return minor(tuple(range(n)))

@@ -85,8 +85,9 @@ def test_criterion_2_known_law_oracles():
     ok = True
     for b in range(1, 8):
         table = extract_coefficients(WishartDims(1, b))
-        erlang = ExpPoly({(1, b - 1): F(1, math.factorial(b - 1))})
-        ok &= table.density() == erlang and table.entries == {(1, b - 1): F(1)}
+        # the Erlang-b CDF 1 - e^{-x} sum_{j<b} x^j / j!
+        erlang = ExpPoly({(0, 0): 1, **{(1, j): F(-1, math.factorial(j)) for j in range(b)}})
+        ok &= max_eig_cdf(WishartDims(1, b)) == erlang and table.entries == {(1, b - 1): F(1)}
     table22 = extract_coefficients(WishartDims(2, 2))
     expected22 = {(1, 2): F(2), (1, 1): F(-2), (1, 0): F(2), (2, 0): F(-1)}
     ok &= table22.entries == expected22

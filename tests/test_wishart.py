@@ -1,7 +1,8 @@
-"""Largest-eigenvalue laws: exact densities, weight extraction, disk cache."""
+"""Largest-eigenvalue laws: exact CDFs, weight extraction, disk cache."""
 
 import errno
 import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -21,17 +22,16 @@ from fdrelay.wishart import (
     CoeffTable,
     NonzeroResidualError,
     WishartDims,
-    _extract_from_density,
     cdf_taylor,
     expected_keys,
     extract_coefficients,
     load_table,
     lower_gamma_poly,
     max_eig_cdf,
-    max_eig_density,
     normalization_constant,
     save_table,
 )
+from mixture import mixture_cdf, mixture_density
 
 
 def ep(d):
@@ -78,35 +78,41 @@ def test_lower_gamma_poly_matches_quadrature():
         assert evaluate(p, lam) == pytest.approx(ref, rel=1e-10, abs=max(err, 1e-13))
 
 
-# -- densities -----------------------------------------------------------------------
+# -- densities and CDFs ----------------------------------------------------------------
+
+
+def density(dims):
+    """The density of the extracted table's mixture."""
+    return mixture_density(extract_coefficients(dims).entries)
 
 
 def test_density_single_channel():
-    assert max_eig_density(WishartDims(1, 1)) == ep({(1, 0): 1})
+    assert max_eig_cdf(WishartDims(1, 1)) == ep({(0, 0): 1, (1, 0): -1})
+    assert density(WishartDims(1, 1)) == ep({(1, 0): 1})
 
 
 def test_density_erlang_two():
     # sum of two unit exponentials
-    assert max_eig_density(WishartDims(1, 2)) == ep({(1, 1): 1})
+    assert max_eig_cdf(WishartDims(1, 2)) == ep({(0, 0): 1, (1, 0): -1, (1, 1): -1})
+    assert density(WishartDims(1, 2)) == ep({(1, 1): 1})
     grid = np.linspace(0.0, 12.0, 40)
     erlang2 = grid * np.exp(-grid)
-    assert np.allclose(evaluate(max_eig_density(WishartDims(1, 2)), grid), erlang2, atol=1e-14)
+    assert np.allclose(evaluate(density(WishartDims(1, 2)), grid), erlang2, atol=1e-14)
 
 
 def test_density_2x2():
-    # derivative of the hand-expanded CDF 1 - (x^2+2)e^-x + e^-2x
-    assert max_eig_density(WishartDims(2, 2)) == ep(
-        {(1, 2): 1, (1, 1): -2, (1, 0): 2, (2, 0): -2}
-    )
+    # the hand-expanded CDF 1 - (x^2+2)e^-x + e^-2x and its derivative
+    assert max_eig_cdf(WishartDims(2, 2)) == ep({(0, 0): 1, (1, 2): -1, (1, 0): -2, (2, 0): 1})
+    assert density(WishartDims(2, 2)) == ep({(1, 2): 1, (1, 1): -2, (1, 0): 2, (2, 0): -2})
 
 
 @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4), (4, 7)])
 def test_density_properties(dims):
     dims = WishartDims(*dims)
-    density = max_eig_density(dims)
+    table = extract_coefficients(dims)
     cdf = max_eig_cdf(dims)
     grid = np.arange(0.0, 50.0, 0.01)
-    assert np.all(evaluate(density, grid) >= -1e-12)
+    assert np.all(evaluate(mixture_density(table.entries), grid) >= -1e-12)
     # CDF anchored at 0 and 1, with exactly one non-decaying term
     assert evaluate(cdf, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert dict(cdf.items()).get((0, 0), 0) == 1
@@ -114,7 +120,7 @@ def test_density_properties(dims):
     vals = evaluate(cdf, grid)
     assert np.all(np.diff(vals) >= -1e-12)
     assert evaluate(cdf, 200.0) == pytest.approx(1.0, abs=1e-12)
-    assert cdf.differentiate() == density
+    assert mixture_cdf(table.entries) == cdf
 
 
 # -- weight extraction -----------------------------------------------------------------
@@ -131,7 +137,7 @@ def test_extract_erlang_two():
 
 
 def test_extract_2x2_frozen():
-    # weights derived by hand from the (2,2) density via w = c * m! / n^(m+1)
+    # weights derived by hand from the (2,2) CDF via w[n, m] = S[n, m] - S[n, m+1]
     table = extract_coefficients(WishartDims(2, 2))
     assert table.entries == {
         (1, 2): F(2), (1, 1): F(-2), (1, 0): F(2), (2, 0): F(-1)
@@ -145,11 +151,21 @@ def test_extract_keys_match_declared_ranges():
         assert sorted(table.entries) == sorted(expected_keys(WishartDims(a, b)))
 
 
-def test_extract_rejects_foreign_density():
-    # a term outside the declared index ranges must be a hard error
-    bogus = max_eig_density(WishartDims(2, 2)) + ExpPoly({(3, 0): F(1, 7)})
-    with pytest.raises(NonzeroResidualError):
-        _extract_from_density(bogus, WishartDims(2, 2))
+def test_extract_rejects_foreign_density(monkeypatch):
+    # each of the extraction's three checks on the CDF is a hard error
+    cdf_22, cdf_12 = (dict(max_eig_cdf(WishartDims(*d)).items()) for d in ((2, 2), (1, 2)))
+    foreign = [
+        # a term past the declared decay indices
+        ((2, 2), {**cdf_22, (3, 0): F(1, 7)}, "outside the mixture"),
+        # (P(1, x) + P(2, x)) / 2: the 1x2 law has no component m = 0
+        ((1, 2), {(0, 0): 1, (1, 0): -1, (1, 1): F(-1, 2)}, "below m = 1"),
+        # F(0) = 1
+        ((1, 2), {**cdf_12, (0, 0): 2}, "not 0 at x = 0"),
+    ]
+    for dims, terms, match in foreign:
+        monkeypatch.setattr(wishart, "max_eig_cdf", lambda _, cdf=ep(terms): cdf)
+        with pytest.raises(NonzeroResidualError, match=match):
+            extract_coefficients(WishartDims(*dims))
 
 
 @given(st.integers(1, 3), st.integers(0, 2))
@@ -158,22 +174,22 @@ def test_extraction_invariants(a, extra):
     dims = WishartDims(a, a + extra)
     table = extract_coefficients(dims)
     assert table.total() == 1
-    assert table.density() == max_eig_density(dims)
+    assert mixture_cdf(table.entries) == max_eig_cdf(dims)
 
 
 def test_reconstruction_identity_large():
     dims = WishartDims(4, 6)
     table = extract_coefficients(dims)
-    assert table.density() == max_eig_density(dims)
+    assert mixture_cdf(table.entries) == max_eig_cdf(dims)
 
 
 def test_extract_6x6_exact():
     # exact coverage at a >= 6, where elimination runs its longest; extraction
-    # raises NonzeroResidualError unless the residual vanishes
+    # raises NonzeroResidualError unless the CDF is exactly a mixture
     table = extract_coefficients(WishartDims(6, 6))
     assert table.total() == 1
     assert set(table.entries) == {(n, m) for n in range(1, 7) for m in range((12 - 2 * n) * n + 1)}
-    assert table.density() == max_eig_density(WishartDims(6, 6))
+    assert mixture_cdf(table.entries) == max_eig_cdf(WishartDims(6, 6))
 
 
 #: sha256 of the ``save_table`` file for the benchmark's 15 cold-table dims,
@@ -329,6 +345,20 @@ def test_cache_payload_not_an_object(tmp_path):
     path = tmp_path / "t.txt"
     path.write_text("[1]\nsha256:" + hashlib.sha256(b"[1]").hexdigest() + "\n")
     with pytest.raises(CacheFormatError, match="not a JSON object"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("field, value", [("a", 2.5), ("D", "1/0"), ("D", 5), ("n", float("inf"))])
+def test_cache_malformed_fields(tmp_path, field, value):
+    # the checksum holds, so only the field checks stand between these and a
+    # traceback; each must read as an unreadable cache
+    path = tmp_path / "t.txt"
+    save_table(extract_coefficients(WishartDims(2, 3)), path)
+    payload = json.loads(path.read_text().splitlines()[0])
+    (payload if field == "a" else payload["entries"][0])[field] = value
+    body = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+    path.write_text(body + "\nsha256:" + hashlib.sha256(body.encode()).hexdigest() + "\n")
+    with pytest.raises(CacheFormatError, match="malformed fields"):
         load_table(path)
 
 
