@@ -7,14 +7,16 @@ The largest eigenvalue of an a x b complex central Wishart matrix
     F(x) = K_ab * det[ gamma(b - a + i + j - 1, x) ]_{i,j=1..a},
     K_ab = 1 / prod_{i=1..a} (a - i)! (b - i)!,
 
-with gamma the lower incomplete gamma function. The determinant cancels
-heavily at small x, where every permutation shares the leading power
-x^(ab), so it is evaluated at ``DPS`` digits.
+with gamma the lower incomplete gamma function. Every permutation of the
+determinant shares the leading power x^(ab), which cancels at small x;
+the mixture form sums O(1) terms down to F. At 4x7 and x = 1e-6, F is
+about 4.5e-188, so ``DPS`` keeps more than 100 digits past that
+cancellation.
 """
 
 import mpmath as mp
 
-DPS = 200
+DPS = 300
 
 
 def max_eig_cdf(a: int, b: int, x) -> mp.mpf:

@@ -219,15 +219,15 @@ def test_sweep_byte_identical_reruns(tmp_path):
 
 
 #: sha256 of analytic-only ``write_csv`` bytes on a 0-40 dB, 0.5 dB grid,
-#: pinned from the per-point closed form: (antennas, mode, asymmetry, ratio,
-#: gamma_t_db) -> digest.
+#: pinned from the closed form whose every value is within 1e-12 of the
+#: Kang-Alouini oracle: (antennas, mode, asymmetry, ratio, gamma_t_db) -> digest.
 GOLDEN_CSV_SHA256 = {
     ((2, 3, 2, 1), "receive", "rd_dominant", 1.5, 5.0):
         "7c1cd18873977d1924dc11045e731de42c0a01d504665b0814b79ff1d4d4b065",
     ((3, 4, 3, 3), "receive", "symmetric", None, 10.0):
-        "31b3240171289e2bcedaac0df50970b6876025aec6e478c8d4ca59d9dbe55096",
+        "28928b869a093d9d4acd19662bd1a488144e41664754d4d59ba846b8a970fa5a",
     ((4, 5, 4, 4), "transmit", "symmetric", None, 10.0):
-        "df067b7d868ab5284883606fa2656591a80755464c585112ac52a16012fe97eb",
+        "94abd6dbf22ef933e227ff01ef4b23a207bd3539c6e88385e5268b0de5fc5b94",
 }
 
 
@@ -252,11 +252,11 @@ def test_analytic_csv_bytes_are_pinned(tmp_path):
 #: digest.
 GOLDEN_MC_CSV_SHA256 = {
     ((2, 3, 2, 2), "receive"):
-        "c4599723e714d09de074d31c8f5d2f2183142a0e6939a70b81a91423e86a5089",
+        "529065cdd8d8c0826545f3984a1362b8be6cedb7a76b53ce704661215264f2b6",
     ((2, 2, 3, 2), "transmit"):
-        "e5eef7018efc88a600442a4bbfe280b2bd827b64976b5f5cd3c90f74feff211c",
+        "3157a196de52dc8634f050d9aa554239c76e7602005d592c810aabdf50e1eccf",
     ((3, 4, 3, 3), "receive"):
-        "dbe5c3e2a75095a8e53c584f41d3ed236065ef1a2c1204a059d2c1bd3c9b227e",
+        "70972a0830b3c45edff70e59e0358998344a596099ef6427f84fcd88718d1364",
 }
 
 
@@ -281,8 +281,8 @@ def test_mc_csv_bytes_are_pinned(tmp_path, monkeypatch):
 #: p_s = 2 and p_r = 0.5 under a 3:2 asymmetric budget: the two hops' scales
 #: differ at every point.  asymmetry -> digest.
 GOLDEN_ASYMMETRIC_MC_CSV_SHA256 = {
-    "rd_dominant": "48da93a0af7716b908f5d58f4639d9620fb18b5f52bd9946e682fdf941f0344f",
-    "sr_dominant": "c332011cac98101ccd3f6d3001abfe51b3f955db90eebcdb4634220c40a6ec01",
+    "rd_dominant": "3314021879b9aaa9e0246dfaad34fd54b586d0d75f5f791b4136b758c442dc02",
+    "sr_dominant": "1cce4141460af6e51928f019790f60aa754a37815f118c055986829dac178fa2",
 }
 
 

@@ -31,9 +31,20 @@ def test_closed_form_matches_the_oracle(dims, x):
     assert _closed_form_error(dims, x) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="float mixture sum cancels in the high-SNR tail "
-                                       "(ROADMAP item 3)")
 @pytest.mark.parametrize("dims, x", [((2, 3), 1e-3), ((3, 3), 1e-2)])
 def test_closed_form_in_the_high_snr_tail(dims, x):
-    # today 0.19 and 1.7e5 relative
+    # the float mixture sum of earlier versions was off by 0.19 and 1.7e5 here
     assert _closed_form_error(dims, x) <= 1e-12
+
+
+#: 1e2 down to 1e-6, four points a decade
+TAIL_XS = [10.0 ** (2 - k / 4) for k in range(33)]
+
+
+@pytest.mark.parametrize("dims", DIMS_UP_TO_4X7, ids=lambda d: f"{d[0]}x{d[1]}")
+def test_closed_form_matches_the_oracle_down_the_tail(dims):
+    scales = [1.0 / x for x in TAIL_XS]
+    values = link_outage(extract_coefficients(WishartDims(*dims)), scales, 1.0)
+    for scale, value in zip(scales, values):
+        x = 1.0 / scale  # the x that link_outage saw
+        assert relative_error(value, max_eig_cdf(*dims, x)) <= 1e-12, x

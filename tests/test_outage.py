@@ -2,13 +2,14 @@
 
 import math
 import re
+import sys
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy import integrate, special
+from scipy import integrate
 
 from fdrelay.curves import exact_diversity
 from fdrelay.outage import (
@@ -24,8 +25,11 @@ from fdrelay.outage import (
     rate_to_snr_threshold,
 )
 from fdrelay.wishart import CoeffTable, WishartDims, cached_table
-from outage_reference import link_outage_at, link_snr_pdf, regularized_lower_gamma
+from kang_alouini import max_eig_cdf
+from outage_reference import link_snr_pdf
 from runs import analytic_curve, make_run
+
+DIMS_UP_TO_4X7 = [(a, b) for a in range(1, 5) for b in range(a, 8)]
 
 
 def table(a, b):
@@ -111,34 +115,6 @@ def test_link_dims_transmit():
         link_dims(cfg, "xx")
 
 
-# -- regularized lower gamma -------------------------------------------------------
-
-
-def test_regularized_gamma_examples():
-    assert regularized_lower_gamma(1, 0.0) == 0.0
-    assert regularized_lower_gamma(1, math.log(2.0)) == pytest.approx(0.5, rel=1e-14)
-    assert regularized_lower_gamma(3, 1e4) == 1.0
-    with pytest.raises(ValueError):
-        regularized_lower_gamma(0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_lower_gamma(1, -0.5)
-
-
-@given(st.integers(1, 25), st.floats(min_value=0.0, max_value=1e4,
-                                     allow_nan=False, allow_infinity=False))
-def test_regularized_gamma_matches_scipy(s, x):
-    ours = regularized_lower_gamma(s, x)
-    ref = float(special.gammainc(s, x))
-    assert ours == pytest.approx(ref, rel=1e-12, abs=1e-300)
-
-
-def test_regularized_gamma_monotone():
-    xs = np.linspace(0.0, 50.0, 400)
-    for s in (1, 3, 8):
-        vals = [regularized_lower_gamma(s, float(x)) for x in xs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
 # -- per-hop outage ------------------------------------------------------------------
 
 
@@ -183,65 +159,68 @@ def test_link_outage_rejects_bogus_weights():
         link_outage(bogus, [1.0], 1e6)  # weights sum to 1.5 -> "probability" 1.5
 
 
-def _reference_curve(t, scales, gamma_t):
-    """Per-point reference values, or InvalidProbabilityError where it raises."""
-    values = []
-    for scale in scales:
-        try:
-            values.append(link_outage_at(t, scale, gamma_t))
-        except InvalidProbabilityError:
-            values.append(InvalidProbabilityError)
-    return values
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DIMS_UP_TO_4X7), st.floats(-6.0, 2.0),
+       st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=30))
+def test_link_outage_is_monotone(dims, log10_x, steps):
+    # points at least 1e-4 apart in x, from 1e-6 to about 1e4
+    t = table(*dims)
+    xs = [10.0 ** log10_x]
+    for step in steps:
+        xs.append(xs[-1] * (1.0 + step))
+    by_scale = link_outage(t, [1.0 / x for x in reversed(xs)], 1.0)  # scales rising
+    assert all(p >= q for p, q in zip(by_scale, by_scale[1:]))
+    by_threshold = [link_outage(t, [1.0], x)[0] for x in xs]  # gamma_t rising
+    assert all(p <= q for p, q in zip(by_threshold, by_threshold[1:]))
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for b in range(1, 8) for a in range(1, b + 1)])
 def test_whole_curve_is_bitwise_per_point_reference(a, b):
+    # one link_outage call per point is the reference for a whole curve
     t = table(a, b)
     rng = np.random.default_rng(100 * a + b)
     curves = {3.7: [3.7 / x for x in 10.0 ** rng.uniform(-8.0, 4.0, 300)]}
-    # scales 1 and 0.5 make x = gamma_t / scale exact: integer x puts
-    # y = n * x exactly on the branch point y = s + 1 of many terms, and
-    # from y = 746 on exp(-y) underflows to 0
+    # scales 1 and 0.5 make x = gamma_t / scale exact; from x = 746 on
+    # exp(-x) underflows to 0
     edges = [float(k) for k in range(1, 2 * max(m for _, m in t.entries) + 4)]
-    edges += [745.0, 746.0, 750.0, 1e4, 1e6]
-    assert any(n * x == m + 2 for (n, m) in t.entries for x in edges)
-    curves.update((x, [1.0, 0.5]) for x in edges)
-    raised = 0
+    edges += [745.0, 746.0, 750.0, 1e4, 1e6, math.inf]
+    curves.update((x, [1.0, 0.5, 1e300]) for x in edges)
+    curves[1e-300] = [1e300, 1.0, 1e-10]  # gamma_t / scale underflows to 0.0 at 1e300
     for gamma_t, scales in curves.items():
-        refs = _reference_curve(t, scales, gamma_t)
-        good = [(s, r) for s, r in zip(scales, refs) if r is not InvalidProbabilityError]
-        curve = link_outage(t, [s for s, _ in good], gamma_t)
-        assert [v.hex() for v in curve] == [r.hex() for _, r in good], gamma_t
-        for s, r in zip(scales, refs):
-            if r is InvalidProbabilityError:
-                raised += 1
-                with pytest.raises(InvalidProbabilityError):
-                    link_outage(t, [s], gamma_t)
-                with pytest.raises(InvalidProbabilityError):
-                    link_outage(t, [1.0, s], gamma_t)
-            else:
-                assert link_outage(t, [s], gamma_t)[0].hex() == r.hex()
-    if (a, b) == (7, 7):
-        # cancellation at small x leaves [0, 1] here, at the same inputs
-        assert raised > 0
+        curve = link_outage(t, scales, gamma_t)
+        assert [v.hex() for v in curve] == [
+            link_outage(t, [s], gamma_t)[0].hex() for s in scales], gamma_t
 
 
 def test_whole_curve_edges():
     t = table(3, 4)
     # gamma_t / scale underflows to 0.0: the outage is 0, as per point
-    assert link_outage(t, [1e300], 1e-300) == [0.0] == [link_outage_at(t, 1e300, 1e-300)]
-    assert link_outage(t, [1e300, 2.0], 1e-300) == [0.0, link_outage_at(t, 2.0, 1e-300)]
+    assert link_outage(t, [1e300], 1e-300) == [0.0]
+    assert link_outage(t, [1e300, 2.0], 1e-300) == [0.0, link_outage(t, [2.0], 1e-300)[0]]
     assert link_outage(t, [2.0, 5.0], 0.0) == [0.0, 0.0]
-    assert link_outage(t, [1.0, 1e300], math.inf) == [1.0, 1.0] == [
-        link_outage_at(t, 1.0, math.inf), link_outage_at(t, 1e300, math.inf)]
+    assert link_outage(t, [1.0, 1e300], math.inf) == [1.0, 1.0]
     assert link_outage(t, [], 1.0) == []
     assert link_outage(t, (s for s in (2.0, 5.0)), 1.0) == [
-        link_outage_at(t, 2.0, 1.0), link_outage_at(t, 5.0, 1.0)]
+        link_outage(t, [2.0], 1.0)[0], link_outage(t, [5.0], 1.0)[0]]
     for bad in ([1.0, math.nan], [1.0, 0.0], [-1.0], [math.nan], [0.0], [-2.0]):
         with pytest.raises(ValueError, match="scale must be > 0"):
             link_outage(t, bad, 1.0)
     with pytest.raises(ValueError):  # inf / inf is not a point
         link_outage(t, [1.0, math.inf], math.inf)
+
+
+@pytest.mark.parametrize("dims, x", [
+    ((1, 1), 1e-320),  # F ~ x: subnormal
+    ((7, 7), 3e-6),  # F ~ t_49 x^49: subnormal
+    ((7, 7), 1e-6),  # below half the smallest subnormal
+    ((4, 7), 1e-12),
+])
+def test_below_the_double_range_the_outage_rounds(dims, x):
+    # a value below the normal range is returned rounded, to a subnormal or
+    # 0.0, and is not raised
+    (value,) = link_outage(table(*dims), [1.0], x)
+    assert value < sys.float_info.min
+    assert abs(value - float(max_eig_cdf(*dims, x))) <= 5e-324
 
 
 def test_nan_does_not_leak_out_of_closed_form():
