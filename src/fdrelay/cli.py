@@ -31,6 +31,7 @@ from .curves import (
     load_or_compute_table,
     write_csv,
 )
+from .exppoly import InexactDivisionError
 from .outage import (
     AntennaConfig,
     InvalidProbabilityError,
@@ -354,8 +355,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"fdrelay: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NonzeroResidualError, InvalidProbabilityError, CacheFormatError,
-            mcsim.DegenerateChannelError, OSError) as exc:
+    except (NonzeroResidualError, InexactDivisionError, InvalidProbabilityError,
+            CacheFormatError, mcsim.DegenerateChannelError, OSError) as exc:
         print(f"fdrelay: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RuntimeError as exc:

@@ -1,125 +1,41 @@
-"""Exact arithmetic over exponential polynomials.
+"""Exact determinants of matrices of exponential polynomials.
 
 An *exponential polynomial* here is a finite sum
 
     p(x) = sum_{(k, l)} c_{k,l} * x**l * exp(-k*x)
 
 with non-negative integer exponents ``k`` (decay index) and ``l`` (power),
-and exact rational coefficients ``c_{k,l}``.  The largest-eigenvalue CDFs
-of small complex Gaussian matrices are determinants of such entries, and
-this module computes those determinants exactly; an ``ExpPoly`` itself only
-holds terms, lists them and scales them.  No floating point enters this
-module.
+and integer coefficients ``c_{k,l}``.  It is held as *slices*: a dict from
+each decay index k to the list of its x-polynomial's coefficients, lowest
+power first.  The largest-eigenvalue CDFs of small complex Gaussian
+matrices are determinants of such entries, and this module computes those
+determinants exactly, on integers throughout.  No floating point and no
+``Fraction`` enters this module.
 
-Canonical form: terms are keyed by ``(k, l)``, zero coefficients are never
-stored, and iteration order is k ascending / l descending within each k.
-
-Determinants run on packed integers (Kronecker substitution).
-With denominators cleared, the x-polynomial at each decay index k becomes
-one Python int, its value at x = 2**W, so that multiplying two polynomials
-takes a handful of big-integer products.  The slot width W comes from
-rigorous coefficient bounds, and every packed quotient is checked to fit
-its slots, so the packing is exact.
+Determinants run on packed integers (Kronecker substitution): the
+x-polynomial at each decay index k becomes one Python int, its value at
+x = 2**W, so that multiplying two polynomials takes a handful of
+big-integer products.  Every packed quotient is checked to fit its slots,
+so the packing is exact whatever W; rigorous coefficient bounds make sure
+that a width which fails the check is retried wide enough to pass it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Tuple, Union
+from typing import Sequence
 
-Key = Tuple[int, int]  # (k, l): the term  coeff * x**l * exp(-k*x)
-Scalar = Union[int, Fraction]
 Slices = dict[int, list[int]]  # k -> integer coefficients of x**0, x**1, ...
 Packed = dict[int, int]  # k -> that x-polynomial's value at x = 2**W
+
+#: Bits above the update's own bound at which each elimination step starts.
+#: The quotient check decides whether they suffice; up to 9x9 Kang-Alouini
+#: matrices they always do.
+_SLACK_BITS = 8
 
 
 class InexactDivisionError(ArithmeticError):
     """Raised when an exact ring division is requested but does not exist."""
-
-
-class ExpPoly:
-    """Immutable exponential polynomial with exact rational coefficients.
-
-    Values are safe to share across threads; every operation returns a new
-    canonical instance.  Negative exponents are a construction error.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[Key, Scalar] | None = None):
-        canon: dict[Key, Fraction] = {}
-        if terms:
-            for (k, l), c in terms.items():
-                k = int(k)
-                l = int(l)
-                if k < 0 or l < 0:
-                    raise ValueError(f"negative exponent in term key ({k}, {l})")
-                c = Fraction(c)
-                if c:
-                    canon[(k, l)] = c
-        self._terms = canon
-
-    def items(self) -> Iterator[tuple[Key, Fraction]]:
-        """Terms in canonical order: k ascending, l descending within k."""
-        for key in sorted(self._terms, key=lambda kl: (kl[0], -kl[1])):
-            yield key, self._terms[key]
-
-    def __mul__(self, other: Scalar) -> "ExpPoly":
-        """Scalar multiple; products of two ExpPolys happen inside ``determinant``."""
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        c = Fraction(other)
-        return ExpPoly._raw({key: v * c for key, v in self._terms.items()} if c else {})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "ExpPoly(0)"
-        bits = []
-        for (k, l), c in self.items():
-            t = str(c)
-            if l:
-                t += f"*x^{l}" if l > 1 else "*x"
-            if k:
-                t += f"*exp(-{k}x)" if k > 1 else "*exp(-x)"
-            bits.append(t)
-        return "ExpPoly(" + " + ".join(bits) + ")"
-
-    @classmethod
-    def _raw(cls, terms: dict[Key, Fraction]) -> "ExpPoly":
-        # internal: terms already canonical (no zeros, valid keys)
-        obj = cls.__new__(cls)
-        obj._terms = terms
-        return obj
-
-
-def _denominator_lcm(polys: Sequence[ExpPoly]) -> int:
-    """LCM of every coefficient denominator in ``polys`` (1 for none)."""
-    return math.lcm(*{c.denominator for p in polys for c in p._terms.values()})
-
-
-def _slices(p: ExpPoly, scale: int) -> Slices:
-    """The integer coefficients of ``scale * p``, per decay index;
-    ``scale`` must clear every denominator."""
-    poly: Slices = {}
-    for (k, l), c in p._terms.items():
-        coeffs = poly.setdefault(k, [])
-        if len(coeffs) <= l:
-            coeffs.extend([0] * (l + 1 - len(coeffs)))
-        coeffs[l] = c.numerator * (scale // c.denominator)
-    return poly
-
-
-def _from_slices(poly: Slices, scale: int) -> ExpPoly:
-    """``poly / scale`` as a canonical ExpPoly."""
-    return ExpPoly._raw({
-        (k, l): Fraction(c, scale) for k, coeffs in poly.items() for l, c in enumerate(coeffs) if c
-    })
 
 
 def _norms(poly: Slices) -> tuple[int, int]:
@@ -237,35 +153,61 @@ def _quotient(num: Packed, num_bound: int, den: Packed, den_max: int,
     return quot, norms
 
 
-def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
-    """Exact determinant of a square matrix of ExpPoly entries.
+def _canonical(poly: Slices) -> Slices:
+    """``poly`` without zero slices or trailing zero coefficients; raises
+    TypeError on a coefficient that is not an integer."""
+    out: Slices = {}
+    for k, coeffs in poly.items():
+        if not all(isinstance(c, int) for c in coeffs):
+            raise TypeError("matrix entries must have integer coefficients")
+        top = len(coeffs)
+        while top and not coeffs[top - 1]:
+            top -= 1
+        if top:
+            out[k] = coeffs[:top]
+    return out
 
-    Scales each row by the LCM of its coefficient denominators, then runs
-    fraction-free Bareiss elimination on integer coefficients, in
-    Z[x, e^{-x}]: each step's update ``a_ij * piv - a_ip * a_pj`` divides
-    exactly by the previous pivot (Sylvester's identity).  Every step packs
-    its entries at one slot width W, so that each update is a few
-    big-integer products and the division is long division over the decay
-    index (``_divide``).  W covers both sides of every division: the update,
-    whose coefficients are at most L1(a_ij) * max|piv| + L1(a_ip) * max|a_pj|,
-    and the quotient times the pivot, where the quotient is a minor of the
-    scaled matrix and so has an L1 norm at most the product of its rows' L1
-    sums (Hadamard).  ``_quotient`` checks each quotient against W, so a
-    wrong bound raises InexactDivisionError instead of returning a wrong
-    determinant.  The result is divided by the product of the row scales
-    once, at the end.
+
+def _eliminate(rows: list[list[Slices]], prev: Slices, prev_max: int, bound: int,
+               w: int) -> list[list[tuple[Slices, tuple[int, int]]]]:
+    """One Bareiss step at slot width ``w``: ``(a_ij * piv - a_i0 * a_0j) / prev``
+    with its norms, for the rows and columns after the first; ``rows[0][0]``
+    is the pivot and ``bound`` bounds every update's coefficients."""
+    packed = [[_pack(e, w) for e in row] for row in rows]
+    den = _pack(prev, w)
+    piv, pivot_row = packed[0][0], packed[0]
+    return [
+        [_quotient(_product(row[0], pivot_row[j], _product(row[j], piv), -1),
+                   bound, den, prev_max, w) for j in range(1, len(row))]
+        for row in packed[1:]
+    ]
+
+
+def determinant(matrix: Sequence[Sequence[Slices]]) -> Slices:
+    """Exact determinant of a square matrix of integer exponential polynomials.
+
+    Runs fraction-free Bareiss elimination in Z[x, e^{-x}]: each step's
+    update ``a_ij * piv - a_ip * a_pj`` divides exactly by the previous pivot
+    (Sylvester's identity).  Every step packs its entries at one slot width
+    W, so that each update is a few big-integer products and the division is
+    long division over the decay index (``_divide``).  ``_quotient`` checks
+    that both sides of each division fit W, so no width returns a wrong
+    determinant; a width too narrow raises InexactDivisionError.
+
+    A step first tries the width of the update's bound, at most
+    L1(a_ij) * max|piv| + L1(a_ip) * max|a_pj| (and of the previous pivot),
+    plus ``_SLACK_BITS``.  Only if a quotient does not fit does it
+    redo the step at the width that provably holds the quotient times the
+    pivot too: the quotient is a minor of the matrix, so its L1 norm is at
+    most the product of its rows' L1 sums (Hadamard).  The result is
+    canonical: no zero slices and no trailing zeros; zero is ``{}``.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        for entry in row:
-            if not isinstance(entry, ExpPoly):
-                raise TypeError("matrix entries must be ExpPoly")
-    scales = [_denominator_lcm(row) for row in matrix]
-    a = [[_slices(e, s) for e in row] for row, s in zip(matrix, scales)]
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    a = [[_canonical(e) for e in row] for row in matrix]
     norms = [[_norms(e) for e in row] for row in a]
     # at least 1 each, so that the width also holds the previous pivot
     row_l1 = [max(1, sum(l1 for l1, _ in row)) for row in norms]
@@ -275,7 +217,7 @@ def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
     for p in range(n - 1):
         pivot_row = next((i for i in range(p, n) if a[i][p]), None)
         if pivot_row is None:
-            return ExpPoly()
+            return {}
         if pivot_row != p:
             for rows in (a, norms, row_l1):
                 rows[p], rows[pivot_row] = rows[pivot_row], rows[p]
@@ -286,16 +228,18 @@ def determinant(matrix: Sequence[Sequence[ExpPoly]]) -> ExpPoly:
             for i in range(p + 1, n) for j in range(p + 1, n)
         )
         minor_l1 = math.prod(row_l1[:p + 1]) * max(row_l1[p + 1:])
-        w = _slot_width(max(cross_bound, minor_l1 * prev_max))
-        packed = [[_pack(e, w) for e in row[p:]] for row in a[p:]]
-        den = _pack(prev, w)
-        piv, pivot_row_packed = packed[0][0], packed[0]
-        for i in range(1, n - p):
-            row = packed[i]
-            for j in range(1, n - p):
-                cross = _product(row[j], piv)
-                _product(row[0], pivot_row_packed[j], cross, -1)
-                a[p + i][p + j], norms[p + i][p + j] = _quotient(
-                    cross, cross_bound, den, prev_max, w)
+        wide = _slot_width(max(cross_bound, minor_l1 * prev_max))
+        narrow = _slot_width(max(cross_bound, prev_max)) + _SLACK_BITS
+        rows = [row[p:] for row in a[p:]]
+        try:
+            update = _eliminate(rows, prev, prev_max, cross_bound, min(narrow, wide))
+        except InexactDivisionError:
+            if narrow >= wide:
+                raise
+            update = _eliminate(rows, prev, prev_max, cross_bound, wide)
+        for i, row in enumerate(update, p + 1):
+            for j, (quot, quot_norms) in enumerate(row, p + 1):
+                a[i][j], norms[i][j] = quot, quot_norms
         prev, prev_max = a[p][p], piv_max
-    return _from_slices(a[n - 1][n - 1], sign * math.prod(scales))
+    det = a[n - 1][n - 1]
+    return det if sign > 0 else {k: [-c for c in coeffs] for k, coeffs in det.items()}

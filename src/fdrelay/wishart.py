@@ -8,9 +8,10 @@ density expressible as a signed mixture of Erlang-type terms
 
 with exact rational weights ``w[n, m]`` that sum to one.  This module builds
 the CDF symbolically (Kang & Alouini: a determinant of a matrix of lower
-incomplete gamma functions) and reads the weights straight off its
-coefficients with exact rational arithmetic; there is no fitting and no
-floating point.
+incomplete gamma functions, whose coefficients are all integers), and reads
+the weights straight off the determinant's integer coefficients over one
+denominator per decay index; there is no fitting and no floating point, and
+each weight is the one ``Fraction`` built for it.
 
 The weight table is the single data object the closed-form outage
 expressions consume, so it also carries a lossless text cache format.
@@ -20,15 +21,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Tuple
 
-from .exppoly import ExpPoly, Key, determinant
+from .exppoly import Slices, determinant
+
+Key = Tuple[int, int]  # (n, m): the weight of the component n^{m+1}/m! x^m e^{-n x}
 
 ALGORITHM_VERSION = "exact-extraction-v1"
 CACHE_VERSION = 1
@@ -77,43 +81,31 @@ class WishartDims:
 
 def normalization_constant(dims: WishartDims) -> Fraction:
     """Exact 1 / prod_{i=1..a} (a-i)! (b-i)!."""
-    a, b = dims.a, dims.b
-    denom = 1
-    for i in range(1, a + 1):
-        denom *= factorial(a - i) * factorial(b - i)
-    return Fraction(1, denom)
+    return Fraction(1, math.prod(factorial(dims.a - i) * factorial(dims.b - i)
+                                 for i in range(1, dims.a + 1)))
 
 
-def lower_gamma_poly(s: int) -> ExpPoly:
-    """Lower incomplete gamma with integer shape s >= 1, as an ExpPoly.
-
-    Equals (s-1)! * (1 - e^{-x} * sum_{j<s} x^j / j!).
-    """
-    if s < 1:
-        raise ValueError(f"shape must be >= 1, got {s}")
-    fs = factorial(s - 1)
-    terms: Dict[Key, Fraction] = {(0, 0): Fraction(fs)}
-    for j in range(s):
-        terms[(1, j)] = Fraction(-fs, factorial(j))
-    return ExpPoly(terms)
+def _lower_gamma_slices(s: int) -> Slices:
+    """The lower incomplete gamma of integer shape s >= 1 on integers:
+    (s-1)! - e^{-x} sum_{j<s} (s-1)!/j! x^j."""
+    coeffs = [0] * s
+    c = 1  # (s-1)!/j!, from j = s - 1 down
+    for j in range(s - 1, -1, -1):
+        coeffs[j] = -c
+        c *= j
+    return {0: [-coeffs[0]], 1: coeffs}
 
 
-def gram_entries(dims: WishartDims) -> list[list[ExpPoly]]:
-    """The a x a matrix whose determinant is (up to normalization) the CDF.
+def cdf_matrix(dims: WishartDims) -> list[list[Slices]]:
+    """The a x a matrix whose determinant is the CDF over ``normalization_constant``.
 
     Entry (i, j), 1-based, is the lower incomplete gamma of shape
-    b - a + i + j - 1.
+    b - a + i + j - 1.  The matrix is Hankel, so it is built from 2a - 1
+    distinct entries, which its rows share.
     """
     a, b = dims.a, dims.b
-    return [
-        [lower_gamma_poly(b - a + i + j - 1) for j in range(1, a + 1)]
-        for i in range(1, a + 1)
-    ]
-
-
-def max_eig_cdf(dims: WishartDims) -> ExpPoly:
-    """Exact CDF of the largest eigenvalue."""
-    return determinant(gram_entries(dims)) * normalization_constant(dims)
+    gammas = [_lower_gamma_slices(b - a + s) for s in range(1, 2 * a)]
+    return [gammas[i:i + a] for i in range(a)]
 
 
 @dataclass(frozen=True)
@@ -151,43 +143,77 @@ def extract_coefficients(dims: WishartDims) -> CoeffTable:
 
     Component (n, m) has the CDF P(m+1, n x) = 1 - e^{-n x} sum_{j<=m} (n x)^j / j!,
     so the CDF's coefficient of x^j e^{-n x} is c[n, j] = -n^j / j! * S[n, j]
-    with the tail sums S[n, j] = sum_{m>=j} w[n, m].  Each weight is then
-    w[n, m] = S[n, m] - S[n, m+1].  Raises NonzeroResidualError on a term
-    outside the declared ranges, on a nonzero weight below m = b - a, and
-    unless c[0, 0] = sum w, that is F(0) = 0.
+    with the tail sums S[n, j] = sum_{m>=j} w[n, m].  The determinant gives
+    c[n, j] = d[n, j] / D with integers d[n, j] and D = prod (a-i)!(b-i)!, so
+    over the one denominator D n^top, top = (a+b-2n) n, the tail sums are the
+    integers T[n, j] = -d[n, j] j! n^(top-j), and each weight is
+    w[n, m] = (T[n, m] - T[n, m+1]) / (D n^top).  Raises NonzeroResidualError
+    on a term outside the declared ranges, on a nonzero weight below
+    m = b - a, and unless F(0) = sum_n d[n, 0] / D is zero.
     """
     a, b = dims.a, dims.b
-    cdf = dict(max_eig_cdf(dims).items())
-    total = cdf.pop((0, 0), Fraction(0))
-    tails: Dict[Key, Fraction] = {}
-    for (n, j), c in cdf.items():
-        if not (1 <= n <= a and j <= (a + b - 2 * n) * n):
+    det = determinant(cdf_matrix(dims))
+    tails: Dict[int, list[int]] = {}  # n -> T[n, 0..top+1]
+    for n, coeffs in det.items():
+        top = (a + b - 2 * n) * n  # 0 at n = 0: only F's constant term
+        if not 0 <= n <= a or any(coeffs[top + 1:]):
+            j = max((j for j, c in enumerate(coeffs) if c), default=0)
             raise NonzeroResidualError(
                 f"CDF term x^{j} e^(-{n}x) is outside the mixture for dims a={a}, b={b}")
-        tails[n, j] = -c * Fraction(factorial(j), n ** j)
-    zero = Fraction(0)
-    for n in range(1, a + 1):
-        if any(tails.get((n, j), zero) != tails.get((n, b - a), zero) for j in range(b - a)):
+        if n:
+            t = coeffs + [0] * (top + 2 - len(coeffs))  # T[n, top+1] = 0
+            f = factorial(top)  # j! n^(top-j), from j = top down
+            for j in range(top, -1, -1):
+                t[j] *= -f
+                f = f * n // j if j else f
+            tails[n] = t
+    low = b - a
+    for n, t in tails.items():
+        if any(t[j] != t[low] for j in range(low)):
             raise NonzeroResidualError(
-                f"nonzero weight below m = {b - a} at n = {n} for dims a={a}, b={b}")
-    entries = {(n, m): tails.get((n, m), zero) - tails.get((n, m + 1), zero)
-               for n, m in expected_keys(dims)}
-    if total != sum(entries.values()):
+                f"nonzero weight below m = {low} at n = {n} for dims a={a}, b={b}")
+    if sum(coeffs[0] for coeffs in det.values() if coeffs):
         raise NonzeroResidualError(f"CDF is not 0 at x = 0 for dims a={a}, b={b}")
-    return CoeffTable(dims=dims, norm_const=normalization_constant(dims), entries=entries)
+    norm = normalization_constant(dims)
+    entries: Dict[Key, Fraction] = {}
+    for n in range(1, a + 1):
+        top = (a + b - 2 * n) * n
+        t = tails.get(n) or [0] * (top + 2)
+        den = norm.denominator * n ** top
+        for m in range(top, low - 1, -1):
+            entries[n, m] = Fraction(t[m] - t[m + 1], den)
+    return CoeffTable(dims=dims, norm_const=norm, entries=entries)
 
 
 def cdf_taylor(table: CoeffTable, order: int) -> list[Fraction]:
     """Exact Taylor coefficients t_0..t_order at 0 of the CDF, the integral of
     the density f = sum w[n, m] n^{m+1}/m! x^m e^{-n x}: t_0 = 0 and
     t_j = [x^{j-1}] f / j.  They vanish below j = a*b, the hop's diversity
-    order."""
-    density = [0] * order  # density[i] = [x^i] f
+    order.
+
+    Over the weights' common denominator L the sums are integers:
+    j! L t_j = sum_n n^j B[n, j-1] with B[n, k] = sum_m (-1)^(k-m) C(k, m) L w[n, m].
+    Pascal's rule steps each B from k to k + 1 with additions alone, and each
+    t_j is one ``Fraction``.
+    """
+    lcm = math.lcm(*(w.denominator for w in table.entries.values()))
+    # diffs[n][r] = sum_m (-1)^(k-m) C(k, m) L w[n, m + r] at the current k
+    diffs: Dict[int, list[int]] = {}
     for (n, m), w in table.entries.items():
-        c = w * Fraction(n ** (m + 1), factorial(m))
-        for i in range(order - m):
-            density[m + i] += c * Fraction((-n) ** i, factorial(i))
-    return [Fraction(0)] + [Fraction(d) / (i + 1) for i, d in enumerate(density)]
+        row = diffs.setdefault(n, [])
+        if len(row) <= m:
+            row.extend([0] * (m + 1 - len(row)))
+        row[m] = w.numerator * (lcm // w.denominator)
+    taylor = [Fraction(0)]
+    fact = 1
+    for j in range(1, order + 1):
+        fact *= j
+        taylor.append(Fraction(sum(n ** j * row[0] for n, row in diffs.items()), fact * lcm))
+        for row in diffs.values():
+            for r in range(len(row) - 1):
+                row[r] = row[r + 1] - row[r]
+            row[-1] = -row[-1]
+    return taylor
 
 
 @lru_cache(maxsize=None)

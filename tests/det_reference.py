@@ -4,15 +4,14 @@ memoised cofactor determinant over it.
 ``exppoly.determinant`` multiplies packed big integers inside fraction-free
 elimination with exact ring division. Here a product multiplies term dicts
 one pair of terms at a time, and the determinant expands along rows with
-products and sums only, so the two share no arithmetic beyond ``Fraction``.
-From ``fdrelay.exppoly`` this uses only the ``ExpPoly`` constructor and
-``items``.
+products and sums only, so the two share no arithmetic. This uses only the
+test-side ``ExpPoly`` constructor and ``items``.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from fdrelay.exppoly import ExpPoly
+from exppoly_ref import ExpPoly
 
 
 def add(*polys: ExpPoly) -> ExpPoly:

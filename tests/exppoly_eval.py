@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fdrelay.exppoly import ExpPoly
+from exppoly_ref import ExpPoly
 
 
 def evaluate(p: ExpPoly, x):

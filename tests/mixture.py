@@ -8,7 +8,7 @@ laws of the mixture are exact ExpPolys.
 from fractions import Fraction
 from math import factorial
 
-from fdrelay.exppoly import ExpPoly
+from exppoly_ref import ExpPoly
 
 
 def mixture_density(entries) -> ExpPoly:

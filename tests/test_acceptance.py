@@ -13,7 +13,6 @@ import pytest
 from scipy import stats
 
 from fdrelay.curves import build_curve, exact_diversity
-from fdrelay.exppoly import ExpPoly
 from fdrelay.mcsim import make_rng, outage_from_gains, wilson_interval
 from fdrelay.outage import (
     AntennaConfig,
@@ -27,10 +26,10 @@ from fdrelay.wishart import (
     cached_table,
     cdf_taylor,
     extract_coefficients,
-    max_eig_cdf,
 )
 from eig_samplers import sample_wishart_max_eig
 from exppoly_eval import evaluate
+from exppoly_ref import ExpPoly, max_eig_cdf
 from runs import analytic_curve, make_run
 from zf_reference import (
     draw_trials,

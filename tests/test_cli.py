@@ -12,9 +12,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fdrelay import cli, curves, mcsim
+from fdrelay import cli, curves, mcsim, wishart
 from fdrelay.cli import ConfigError, main, parse_run_config
 from fdrelay.curves import build_curve, write_csv
+from fdrelay.exppoly import InexactDivisionError
 from fdrelay.outage import OutageQuery
 from fdrelay.wishart import WishartDims, load_table
 from runs import make_run
@@ -165,6 +166,17 @@ def test_coeffs_writes_cache_and_reports_sum(tmp_path, capsys):
     # second invocation hits the cache
     assert main(["coeffs", "2x2", "--cache-dir", str(cache)]) == 0
     assert "cached" in capsys.readouterr().out
+
+
+def test_coeffs_exits_1_on_a_failed_exact_division(tmp_path, capsys, monkeypatch):
+    def refuse(matrix):
+        raise InexactDivisionError("quotient does not fit slots of 9 bits")
+
+    monkeypatch.setattr(wishart, "determinant", refuse)
+    assert main(["coeffs", "2x3", "--cache-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "fdrelay: quotient does not fit slots of 9 bits" in err
+    assert "Traceback" not in err
 
 
 def test_coeffs_rejects_degenerate_dims(tmp_path, capsys):

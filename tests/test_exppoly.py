@@ -1,5 +1,5 @@
-"""Exact exponential polynomials: canonical form, scaling and determinants,
-checked against the test-side reference ring."""
+"""Exact determinants of exponential polynomials, checked against the
+test-side reference ring, and the test-side ExpPoly that states them."""
 
 import math
 from fractions import Fraction as F
@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from det_reference import add, det_cofactor, mul, neg
 from exppoly_eval import evaluate
 from fdrelay import exppoly
-from fdrelay.exppoly import (
-    ExpPoly, InexactDivisionError, _divide, _pack, _quotient, _slices, determinant,
-)
-from fdrelay.wishart import extract_coefficients, gram_entries, lower_gamma_poly, WishartDims
+from exppoly_ref import ExpPoly, det, gram_entries, lower_gamma_poly, slices
+from fdrelay.exppoly import InexactDivisionError, _divide, _pack, _quotient, determinant
+from fdrelay.wishart import extract_coefficients, WishartDims
 from mixture import mixture_density
 
 
@@ -29,12 +28,12 @@ ONE, ZERO = ExpPoly({(0, 0): 1}), ExpPoly()
 
 def det_sum(p, q):
     """p + q as production computes it: det [[p, -q], [1, 1]]."""
-    return determinant([[p, q * -1], [ONE, ONE]])
+    return det([[p, q * -1], [ONE, ONE]])
 
 
 def det_product(p, q):
     """p * q as production computes it: det [[p, 0], [0, q]]."""
-    return determinant([[p, ZERO], [ZERO, q]])
+    return det([[p, ZERO], [ZERO, q]])
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
@@ -127,31 +126,39 @@ def test_coeff_lookup():
 
 def test_det_1x1():
     g1 = lower_gamma_poly(1)
-    assert determinant([[g1]]) == g1 == ep({(0, 0): 1, (1, 0): -1})
+    assert det([[g1]]) == g1 == ep({(0, 0): 1, (1, 0): -1})
 
 
 def test_det_identity():
-    assert determinant([[ONE, ZERO], [ZERO, ONE]]) == ONE
+    assert det([[ONE, ZERO], [ZERO, ONE]]) == ONE
 
 
 def test_det_gamma_2x2_exact_and_numeric():
     # det [[g(1), g(2)], [g(2), g(3)]] expands by hand to 1 - (x^2+2)e^-x + e^-2x
     m = [[lower_gamma_poly(1), lower_gamma_poly(2)],
          [lower_gamma_poly(2), lower_gamma_poly(3)]]
-    det = determinant(m)
-    assert det == ep({(0, 0): 1, (1, 2): -1, (1, 0): -2, (2, 0): 1})
+    d = det(m)
+    assert d == ep({(0, 0): 1, (1, 2): -1, (1, 0): -2, (2, 0): 1})
     for lam in (0.1, 0.7, 2.0, 5.5, 11.0):
         direct = 1.0 - (lam ** 2 + 2.0) * math.exp(-lam) + math.exp(-2.0 * lam)
-        assert evaluate(det, lam) == pytest.approx(direct, rel=1e-12, abs=1e-15)
+        assert evaluate(d, lam) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
 def test_det_rejects_non_square():
+    one = {0: [1]}
     with pytest.raises(ValueError):
-        determinant([[ONE, ONE]])
+        determinant([[one, one]])
     with pytest.raises(ValueError):
         determinant([])
     with pytest.raises(TypeError):
-        determinant([[ONE, 1], [ONE, ONE]])
+        determinant([[one, {0: [F(1, 2)]}], [one, one]])
+
+
+def test_det_of_slices_is_canonical_and_signed():
+    # zero slices and trailing zeros go; a swap of rows flips the sign
+    assert determinant([[{0: [0], 1: [2, 0]}]]) == {1: [2]}
+    assert determinant([[{}, {0: [1]}], [{1: [0, 3]}, {}]]) == {1: [0, -3]}
+    assert determinant([[{}, {}], [{0: [1]}, {1: [1]}]]) == {}
 
 
 @given(st.integers(2, 4), st.data())
@@ -164,14 +171,14 @@ def test_det_equal_rows_vanishes(n, data):
     if i == j:
         j = (i + 1) % n
     rows[j] = list(rows[i])
-    assert determinant(rows) == ZERO
+    assert det(rows) == ZERO
 
 
 @given(st.integers(2, 4), st.data())
 @settings(max_examples=40)
 def test_bareiss_matches_cofactor(n, data):
     rows = [[data.draw(exppolys) for _ in range(n)] for _ in range(n)]
-    assert determinant(rows) == det_cofactor(rows)
+    assert det(rows) == det_cofactor(rows)
 
 
 @given(st.integers(2, 5), st.data())
@@ -182,7 +189,7 @@ def test_bareiss_matches_cofactor_with_huge_coefficients(n, data):
     rows = [[data.draw(huge_exppolys) for _ in range(n)] for _ in range(n)]
     zeros = data.draw(st.integers(1, n - 1))
     rows[0][:zeros] = [ZERO] * zeros
-    assert determinant(rows) == det_cofactor(rows)
+    assert det(rows) == det_cofactor(rows)
 
 
 def test_det_rows_with_different_denominators():
@@ -193,7 +200,7 @@ def test_det_rows_with_different_denominators():
         [ep({(0, 1): F(2, 5)}), ep({(0, 0): F(3, 7), (2, 0): F(1, 5)}), ep({(1, 1): F(-4, 35)})],
         [ep({(1, 0): 2}), ep({(0, 0): -1, (0, 1): 3}), ep({(2, 2): 1})],
     ]
-    assert determinant(m) == det_cofactor(m)
+    assert det(m) == det_cofactor(m)
 
 
 def test_det_all_zero_row_vanishes():
@@ -201,7 +208,7 @@ def test_det_all_zero_row_vanishes():
     for at in range(3):
         m = [[g(i + j + 1) * F(1, i + 2) for j in range(3)] for i in range(3)]
         m[at] = [ZERO] * 3
-        assert determinant(m) == ZERO
+        assert det(m) == ZERO
 
 
 def test_det_5x5_rational_matches_cofactor():
@@ -217,20 +224,20 @@ def test_det_5x5_rational_matches_cofactor():
         for _ in range(5)
     ]
     assert len({c.denominator for row in m for e in row for _, c in e.items()}) > 3
-    assert determinant(m) == det_cofactor(m)
+    assert det(m) == det_cofactor(m)
 
 
 def test_large_matrix_uses_bareiss_path():
     # 6x6 of incomplete-gamma entries against the cofactor reference
     m = [[lower_gamma_poly(i + j + 1) for j in range(6)] for i in range(6)]
-    assert determinant(m) == det_cofactor(m)
+    assert det(m) == det_cofactor(m)
 
 
 # -- exact division -----------------------------------------------------------------
 
 
 def _packed(terms, w=16):
-    return _pack(_slices(ExpPoly(terms), 1), w)
+    return _pack(slices(ExpPoly(terms)), w)
 
 
 def test_packed_division_checks_each_coefficient():
@@ -267,12 +274,35 @@ def test_too_narrow_slots_raise_and_never_give_a_wrong_determinant(monkeypatch):
         monkeypatch.setattr(exppoly, "_slot_width",
                             lambda bound, cut=cut: max(1, real_width(bound) - cut))
         try:
-            result = determinant(m)
+            result = det(m)
         except InexactDivisionError as exc:
             raised.add(str(exc).split(" does not fit")[0])
         else:
             assert result == exact, cut
     assert raised == {"division", "quotient"}
+
+
+def test_refused_narrow_width_redoes_the_step_at_the_hadamard_width(monkeypatch):
+    # the last step divides (1 + y)^2 s by the pivot 1 + y, where y = e^-x and
+    # s = 1 + y + ... + y^4095: the update's bound is 4, but the quotient
+    # (1 + y) s has an L1 norm of 8192, which no slot of the narrow width holds
+    s = ExpPoly({(k, 0): 1 for k in range(4096)})
+    m = [[ep({(0, 0): 1, (1, 0): 1}), ZERO, ZERO], [ZERO, s, ZERO], [ZERO, ZERO, ONE]]
+    real_quotient, widths = exppoly._quotient, []
+
+    def quotient(num, num_bound, den, den_max, w):
+        try:
+            result = real_quotient(num, num_bound, den, den_max, w)
+        except InexactDivisionError:
+            widths.append((w, "refused"))
+            raise
+        widths.append((w, "ok"))
+        return result
+
+    monkeypatch.setattr(exppoly, "_quotient", quotient)
+    assert det(m) == det_cofactor(m)
+    narrow = exppoly._slot_width(4) + exppoly._SLACK_BITS
+    assert widths[-2:] == [(narrow, "refused"), (exppoly._slot_width(8192), "ok")]
 
 
 # -- ring axioms ---------------------------------------------------------------------
@@ -328,8 +358,8 @@ def _longdouble_eval(p, lam):
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
 def test_extended_precision_eval_matches_exact(dims):
-    det = determinant(gram_entries(WishartDims(*dims)))
-    polys = [det, mixture_density(extract_coefficients(WishartDims(*dims)).entries)]
+    d = det(gram_entries(WishartDims(*dims)))
+    polys = [d, mixture_density(extract_coefficients(WishartDims(*dims)).entries)]
     rng = np.random.default_rng(2024)
     for p in polys:
         for _ in range(12):

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from scipy import integrate
 
 from exppoly_eval import evaluate
+from exppoly_ref import ExpPoly, gram_entries, lower_gamma_poly, max_eig_cdf, slices
 from fdrelay import wishart
-from fdrelay.exppoly import ExpPoly
 from fdrelay.wishart import (
     CacheChecksumError,
     CacheFormatError,
@@ -22,12 +22,11 @@ from fdrelay.wishart import (
     CoeffTable,
     NonzeroResidualError,
     WishartDims,
+    cdf_matrix,
     cdf_taylor,
     expected_keys,
     extract_coefficients,
     load_table,
-    lower_gamma_poly,
-    max_eig_cdf,
     normalization_constant,
     save_table,
 )
@@ -69,6 +68,14 @@ def test_lower_gamma_poly_small_shapes():
     assert lower_gamma_poly(3) == ep({(0, 0): 2, (1, 0): -2, (1, 1): -2, (1, 2): -1})
     with pytest.raises(ValueError):
         lower_gamma_poly(0)
+
+
+def test_cdf_matrix_is_the_kang_alouini_matrix_on_integers():
+    # every entry's coefficients are integers, and the Hankel rows share 2a - 1 entries
+    for a, b in [(1, 1), (1, 4), (2, 3), (3, 3), (4, 7), (7, 7)]:
+        dims = WishartDims(a, b)
+        assert cdf_matrix(dims) == [[slices(e) for e in row] for row in gram_entries(dims)]
+        assert len({id(e) for row in cdf_matrix(dims) for e in row}) == 2 * a - 1
 
 
 def test_lower_gamma_poly_matches_quadrature():
@@ -152,18 +159,23 @@ def test_extract_keys_match_declared_ranges():
 
 
 def test_extract_rejects_foreign_density(monkeypatch):
-    # each of the extraction's three checks on the CDF is a hard error
+    # each of the extraction's three checks on the determinant is a hard
+    # error; at these dims the CDF's denominator is 1, so each foreign
+    # determinant is its CDF
     cdf_22, cdf_12 = (dict(max_eig_cdf(WishartDims(*d)).items()) for d in ((2, 2), (1, 2)))
     foreign = [
         # a term past the declared decay indices
-        ((2, 2), {**cdf_22, (3, 0): F(1, 7)}, "outside the mixture"),
-        # (P(1, x) + P(2, x)) / 2: the 1x2 law has no component m = 0
-        ((1, 2), {(0, 0): 1, (1, 0): -1, (1, 1): F(-1, 2)}, "below m = 1"),
+        ((2, 2), {**cdf_22, (3, 0): 1}, "outside the mixture"),
+        # a term past the declared powers at n = 1
+        ((1, 2), {**cdf_12, (1, 2): -1}, "outside the mixture"),
+        # 2 P(2, x) - P(1, x): the 1x2 law has no component m = 0
+        ((1, 2), {(0, 0): 1, (1, 0): -1, (1, 1): -2}, "below m = 1"),
         # F(0) = 1
         ((1, 2), {**cdf_12, (0, 0): 2}, "not 0 at x = 0"),
     ]
     for dims, terms, match in foreign:
-        monkeypatch.setattr(wishart, "max_eig_cdf", lambda _, cdf=ep(terms): cdf)
+        assert normalization_constant(WishartDims(*dims)) == 1
+        monkeypatch.setattr(wishart, "determinant", lambda _, det=slices(ep(terms)): det)
         with pytest.raises(NonzeroResidualError, match=match):
             extract_coefficients(WishartDims(*dims))
 
@@ -259,6 +271,23 @@ def test_cdf_taylor_matches_the_cauchy_determinant():
     assert cauchy_leading_coefficient(WishartDims(2, 3)) == F(1, 144)
     assert cauchy_leading_coefficient(WishartDims(3, 3)) == F(1, 8640)
     assert cauchy_leading_coefficient(WishartDims(4, 7)) == F(1, 22299538725273600000)
+
+
+def fraction_taylor(table, order):
+    """cdf_taylor in Fraction arithmetic, term by term."""
+    density = [F(0)] * order  # density[i] = [x^i] f
+    for (n, m), w in table.entries.items():
+        c = w * F(n ** (m + 1), math.factorial(m))
+        for i in range(order - m):
+            density[m + i] += c * F((-n) ** i, math.factorial(i))
+    return [F(0)] + [d / (i + 1) for i, d in enumerate(density)]
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 3), (4, 5), (5, 7)])
+def test_cdf_taylor_matches_fraction_arithmetic(dims):
+    table = extract_coefficients(WishartDims(*dims))
+    order = dims[0] * dims[1] + 20
+    assert cdf_taylor(table, order) == fraction_taylor(table, order)
 
 
 def test_cdf_taylor_single_channel():
