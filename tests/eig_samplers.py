@@ -4,7 +4,7 @@ projected draws for the ZF projection reduction."""
 
 import numpy as np
 
-from fdrelay.mcsim import _col_gram, _matvec, _project_off, _randn_c, _soa, _top_eig
+from fdrelay.zf import _col_gram, _matvec, _project_off, _randn_c, _soa, _top_eig
 from fdrelay.wishart import WishartDims
 
 

@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from fdrelay.curves import build_curve, exact_diversity
-from fdrelay.mcsim import make_rng, outage_from_gains, wilson_interval
+from fdrelay.mcsim import wilson_interval
 from fdrelay.outage import (
     AntennaConfig,
     OutageQuery,
@@ -27,6 +27,7 @@ from fdrelay.wishart import (
     cdf_taylor,
     extract_coefficients,
 )
+from fdrelay.zf import make_rng, outage_from_gains
 from eig_samplers import sample_wishart_max_eig
 from exppoly_eval import evaluate
 from exppoly_ref import ExpPoly, max_eig_cdf

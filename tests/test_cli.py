@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from fdrelay import cli, curves, mcsim, wishart
+from fdrelay import cli, curves, mcsim, wishart, zf
 from fdrelay.cli import ConfigError, main, parse_run_config
 from fdrelay.curves import build_curve, write_csv
 from fdrelay.exppoly import InexactDivisionError
@@ -547,15 +547,17 @@ def test_compare_with_worker_processes_exits_cleanly(tmp_path):
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
-# Forked workers inherit the patch, so it runs in a fresh interpreter.
+# Forked workers inherit the patch, so it runs in a fresh interpreter; a
+# patch of a name that no longer exists would kill nothing, so it fails first.
 KILL_THE_WORKERS = """
 import os, signal, sys
-from fdrelay import cli, mcsim
+from fdrelay import cli, zf
 
 def killed(*args):
     os.kill(os.getpid(), signal.SIGKILL)
 
-mcsim._block_gains = killed
+assert callable(zf._block_gains)
+zf._block_gains = killed
 sys.exit(cli.main(["compare", "--config", sys.argv[1]]))
 """
 
@@ -571,14 +573,14 @@ def test_compare_reports_a_killed_worker(tmp_path):
 
 
 def test_compare_exits_1_on_a_zero_loopback_image(tmp_path, capsys, monkeypatch):
-    sample = mcsim._sample_arrays
+    sample = zf._sample_arrays
 
     def zero_loopback(rng, config, n):
         h_sr, h_rr, h_rd = sample(rng, config, n)
         h_rr[3] = 0.0
         return h_sr, h_rr, h_rd
 
-    monkeypatch.setattr(mcsim, "_sample_arrays", zero_loopback)
+    monkeypatch.setattr(zf, "_sample_arrays", zero_loopback)
     cfg = write_config(tmp_path, trials=20_000, grid_stop_db=15)  # one block, run here
     assert main(["compare", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err

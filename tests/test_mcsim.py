@@ -12,21 +12,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdrelay import mcsim
-from fdrelay.mcsim import (
-    BLOCK_SIZE,
+from fdrelay import mcsim, zf
+from fdrelay.mcsim import BLOCK_SIZE, DegenerateChannelError, link_gain_samples, wilson_interval
+from fdrelay.zf import (
     SUB_BATCH,
-    DegenerateChannelError,
     _block_gains,
     _col_gram,
     _sample_arrays,
     _soa,
     _top_eig,
     _zf_trials,
-    link_gain_samples,
     make_rng,
     outage_from_gains,
-    wilson_interval,
 )
 from fdrelay.curves import build_curve
 from fdrelay.outage import AntennaConfig, ZFMode
@@ -204,7 +201,7 @@ def test_sub_batch_sizes_up_to_8192_give_identical_bits(monkeypatch):
     for cfg in (RX_CFG, TX_CFG, AntennaConfig(3, 4, 3, 3, ZFMode.RECEIVE)):
         gains = []
         for size in sorted({1 << 11, 1 << 12, 1 << 13, SUB_BATCH}):
-            monkeypatch.setattr(mcsim, "SUB_BATCH", size)
+            monkeypatch.setattr(zf, "SUB_BATCH", size)
             gains.append(_block_gains(make_rng(3), cfg, 1 << 14))
         for other in gains[1:]:
             assert all(np.array_equal(x, y) for x, y in zip(gains[0], other)), (cfg, size)
@@ -323,7 +320,7 @@ def test_gain_kernel_checks_zf_null(monkeypatch, mode):
     def leaky(h, unit):
         return h - 0.5 * unit[:, None] * (unit.conj()[:, None] * h).sum(axis=0)
 
-    monkeypatch.setattr(mcsim, "_project_off", leaky)
+    monkeypatch.setattr(zf, "_project_off", leaky)
     with pytest.raises(DegenerateChannelError, match="ZF null"):
         link_gain_samples(AntennaConfig(2, 3, 3, 2, mode), 100, 3, [1.0], [1.0], 1.0)
 
@@ -375,18 +372,20 @@ def test_pool_gets_a_bounded_number_of_blocks_ahead(monkeypatch):
 
 
 # Forked workers keep the module state of the moment the pool starts, so a
-# patch of mcsim that must reach them runs in a fresh interpreter.
+# patch of zf that must reach them runs in a fresh interpreter.  Each script
+# reads the name it replaces first, so a stale patch fails loudly.
 LEAKY_PROJECTION = """
 import sys
-from fdrelay import mcsim
+from fdrelay import mcsim, zf
 from fdrelay.outage import AntennaConfig, ZFMode
 
 def leaky(h, unit):
     return h - 0.5 * unit[:, None] * (unit.conj()[:, None] * h).sum(axis=0)
 
-mcsim._project_off = leaky
+assert callable(zf._project_off)
+zf._project_off = leaky
 cfg = AntennaConfig(2, 3, 3, 2, ZFMode(sys.argv[1]))
-for run in (lambda: mcsim._block_gains(mcsim.make_rng(3, 0), cfg, mcsim.BLOCK_SIZE),
+for run in (lambda: zf._block_gains(zf.make_rng(3, 0), cfg, mcsim.BLOCK_SIZE),
             lambda: mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 3, [1.0], [1.0], 1.0)):
     try:
         run()
@@ -408,13 +407,41 @@ def test_worker_error_reaches_caller_as_inline(mode):
     assert inline[2] == pooled[2] and "ZF null residual" in inline[2]
 
 
-# The run's second block is a part block of 100 trials, and only its trial 7
-# has a zero loopback channel.
-ZERO_LOOPBACK = """
+# A run imports the kernel, and numpy with it, before its pool forks, so the
+# workers inherit both; argv[1] == "pooled" when this host runs a pool.
+FORK_ORDER = """
+import sys
 from fdrelay import mcsim
 from fdrelay.outage import AntennaConfig, ZFMode
 
-sample = mcsim._sample_arrays
+assert "numpy" not in sys.modules and "fdrelay.zf" not in sys.modules
+make_pool, seen = mcsim._block_pool, []
+
+def spy():
+    seen.append("fdrelay.zf" in sys.modules and "numpy" in sys.modules)
+    return make_pool()
+
+mcsim._block_pool = spy
+mcsim.link_gain_samples(AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE), 2 * mcsim.BLOCK_SIZE + 1, 1,
+                        [1.0], [1.0], 1.0)
+assert seen == [True], seen
+assert (mcsim._pool is not None) == (sys.argv[1] == "pooled")
+"""
+
+
+def test_kernel_is_imported_before_the_pool_forks():
+    result = subprocess.run([sys.executable, "-c", FORK_ORDER, "pooled" if POOLED else "inline"],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+# The run's second block is a part block of 100 trials, and only its trial 7
+# has a zero loopback channel.
+ZERO_LOOPBACK = """
+from fdrelay import mcsim, zf
+from fdrelay.outage import AntennaConfig, ZFMode
+
+sample = zf._sample_arrays
 
 def zero_loopback(rng, config, n):
     h_sr, h_rr, h_rd = sample(rng, config, n)
@@ -422,7 +449,7 @@ def zero_loopback(rng, config, n):
         h_rr[7] = 0.0
     return h_sr, h_rr, h_rd
 
-mcsim._sample_arrays = zero_loopback
+zf._sample_arrays = zero_loopback
 cfg = AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE)
 for pool in (mcsim._block_pool, lambda: None):
     mcsim._block_pool = pool

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fdrelay.mcsim import (
-    BLOCK_SIZE,
+from fdrelay.mcsim import BLOCK_SIZE
+from fdrelay.zf import (
     _block_gains,
     _project_off,
     _sample_arrays,
