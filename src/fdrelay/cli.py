@@ -33,13 +33,14 @@ from .curves import (
 )
 from .exppoly import InexactDivisionError
 from .outage import (
+    MAX_ANTENNAS,
     AntennaConfig,
     InvalidProbabilityError,
     OutageQuery,
     ZFMode,
     rate_to_snr_threshold,
 )
-from .wishart import CacheFormatError, NonzeroResidualError, WishartDims
+from .wishart import NonzeroResidualError, WishartDims
 
 CACHE_DIR_ENV = "FDRELAY_CACHE_DIR"
 
@@ -90,7 +91,9 @@ _REQUIRED_KEYS = ("n_s", "n_r1", "n_r2", "n_d", "mode",
 
 
 def parse_run_config(path: str | Path) -> RunConfig:
-    """Parse a flat ``key = value`` run configuration file."""
+    """Parse a flat ``key = value`` run configuration file.  Only rules that
+    need the file's own keys are checked here; the library types check the
+    rest, and their ``ValueError`` becomes a ``ConfigError`` naming the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -119,19 +122,17 @@ def parse_run_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}: bad value for {key!r}: {exc}") from exc
         if isinstance(values[key], float) and not math.isfinite(values[key]):
             raise ConfigError(f"{path}: {key} must be finite, got {text_value!r}")
-    for key in ("alpha_sr", "alpha_rd"):
-        if key in values and values[key] <= 0.0:
-            raise ConfigError(f"{path}: {key} must be > 0, got {values[key]!r}")
+    linear: dict[str, float] = {}
     for key, to_linear in _LINEAR_FORMS.items():
         if key not in values:
             continue
         try:
-            linear = to_linear(values[key])
+            linear[key] = to_linear(values[key])
         except OverflowError:
-            linear = math.inf
+            linear[key] = math.inf
         except ValueError as exc:
             raise ConfigError(f"{path}: {key}: {exc}") from exc
-        if not 0.0 < linear < math.inf:
+        if not 0.0 < linear[key] < math.inf:
             raise ConfigError(f"{path}: {key} = {values[key]!r} is out of range: "
                               "its linear value must be finite and > 0")
 
@@ -139,64 +140,37 @@ def parse_run_config(path: str | Path) -> RunConfig:
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
 
+    if ("gamma_t_db" in values) == ("rate_r0" in values):
+        raise ConfigError(f"{path}: specify exactly one of gamma_t_db or rate_r0")
     mode_name = str(values["mode"]).lower()
     try:
         mode = ZFMode(mode_name)
     except ValueError:
         raise ConfigError(f"{path}: mode must be 'receive' or 'transmit', got {mode_name!r}")
     try:
-        antenna = AntennaConfig(
-            n_s=values["n_s"], n_r1=values["n_r1"],
-            n_r2=values["n_r2"], n_d=values["n_d"], mode=mode,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    has_gamma = "gamma_t_db" in values
-    has_rate = "rate_r0" in values
-    if has_gamma == has_rate:
-        raise ConfigError(f"{path}: specify exactly one of gamma_t_db or rate_r0")
-    if has_gamma:
-        query = OutageQuery.snr(db_to_linear(values["gamma_t_db"]))
-    else:
-        query = OutageQuery.rate(values["rate_r0"])
-
-    try:
-        grid = db_grid(values["grid_start_db"], values["grid_stop_db"], values["grid_step_db"])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    asymmetry = str(values.get("asymmetry", "symmetric")).lower()
-    if asymmetry not in ("symmetric", "sr_dominant", "rd_dominant"):
-        raise ConfigError(f"{path}: asymmetry must be symmetric|sr_dominant|rd_dominant")
-    ratio = values.get("asymmetry_ratio")
-    if asymmetry != "symmetric":
-        if ratio is None or ratio <= 1.0:
-            raise ConfigError(f"{path}: asymmetric budgets need asymmetry_ratio > 1")
-        alphas = [k for k in ("alpha_sr", "alpha_rd") if k in values]
-        if alphas:
-            raise ConfigError(f"{path}: asymmetry = {asymmetry} sets both alphas; "
-                              f"drop {' and '.join(alphas)} or the asymmetry")
-    elif ratio is not None:
-        raise ConfigError(f"{path}: asymmetry_ratio needs asymmetry = sr_dominant or rd_dominant")
-
-    try:
-        return RunConfig(
-            antenna=antenna,
-            query=query,
-            grid_db=grid,
-            p_s=db_to_linear(values.get("p_s_db", 0.0)),
-            p_r=db_to_linear(values.get("p_r_db", 0.0)),
-            alpha_sr=float(values.get("alpha_sr", 1.0)),
-            alpha_rd=float(values.get("alpha_rd", 1.0)),
+        run = RunConfig(
+            antenna=AntennaConfig(values["n_s"], values["n_r1"], values["n_r2"], values["n_d"],
+                                  mode),
+            query=OutageQuery(linear.get("gamma_t_db", linear.get("rate_r0"))),
+            grid_db=db_grid(values["grid_start_db"], values["grid_stop_db"],
+                            values["grid_step_db"]),
+            p_s=linear.get("p_s_db", 1.0),
+            p_r=linear.get("p_r_db", 1.0),
+            alpha_sr=values.get("alpha_sr", 1.0),
+            alpha_rd=values.get("alpha_rd", 1.0),
             trials=values.get("trials", 0),
             seed=values.get("seed", 0),
             out_csv=values.get("out_csv"),
-            asymmetry=asymmetry,
-            asymmetry_ratio=ratio,
+            asymmetry=str(values.get("asymmetry", "symmetric")).lower(),
+            asymmetry_ratio=values.get("asymmetry_ratio"),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    alphas = [k for k in ("alpha_sr", "alpha_rd") if k in values]
+    if alphas and run.asymmetry != "symmetric":
+        raise ConfigError(f"{path}: asymmetry = {run.asymmetry} sets both alphas; "
+                          f"drop {' and '.join(alphas)} or the asymmetry")
+    return run
 
 
 # -- coefficient cache --------------------------------------------------------
@@ -213,14 +187,16 @@ def resolve_cache_dir(flag_value: Optional[str]) -> Optional[Path]:
 
 
 def _parse_dims_arg(text: str) -> WishartDims:
-    sep = "x" if "x" in text else ","
-    parts = text.lower().split(sep)
+    lowered = text.lower()
+    parts = lowered.split("x" if "x" in lowered else ",")
     if len(parts) != 2:
         raise ConfigError(f"bad dims {text!r}; expected N1xN2 (e.g. 2x3)")
     try:
         n1, n2 = int(parts[0]), int(parts[1])
     except ValueError:
         raise ConfigError(f"bad dims {text!r}; expected integers")
+    if max(n1, n2) > MAX_ANTENNAS:
+        raise ConfigError(f"bad dims {text!r}: each dim must be at most {MAX_ANTENNAS}")
     try:
         return WishartDims.of_matrix(n1, n2)
     except ValueError as exc:
@@ -356,7 +332,7 @@ def main(argv=None) -> int:
         print(f"fdrelay: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonzeroResidualError, InexactDivisionError, InvalidProbabilityError,
-            CacheFormatError, mcsim.DegenerateChannelError, OSError) as exc:
+            mcsim.DegenerateChannelError, OSError) as exc:
         print(f"fdrelay: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RuntimeError as exc:

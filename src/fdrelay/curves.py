@@ -4,6 +4,7 @@ CSV form, and the exact diversity check.
 dB enters the model here and nowhere else in the library: ``db_grid`` spaces
 the SNR grid in dB and ``RunConfig.hop_scales`` takes each point to linear.
 ``outage``, ``mcsim`` and ``wishart`` are linear-scale only.
+``RunConfig`` checks a run's rules, so a config file and a script meet the same.
 """
 
 from __future__ import annotations
@@ -95,14 +96,26 @@ class RunConfig:
     asymmetry_ratio: Optional[float] = None
 
     def __post_init__(self):
-        """Raises ValueError for trials or a seed out of range, or for a hop
-        scale that is not finite and > 0 somewhere on a non-empty grid."""
+        """Raises ValueError for trials or a seed out of range, for a budget
+        the asymmetry shorthand does not allow, for a power or amplitude
+        that is not > 0, or for a hop scale that is not finite and > 0 at
+        an end of a non-empty grid."""
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be <= 2**32 = {MAX_TRIALS}, got {self.trials}")
         if not 0 <= self.seed < 2 ** 128:  # Philox keys are 128-bit
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
+        if self.asymmetry not in ("symmetric", "sr_dominant", "rd_dominant"):
+            raise ValueError("asymmetry must be symmetric|sr_dominant|rd_dominant")
+        if self.asymmetry == "symmetric":
+            if self.asymmetry_ratio is not None:
+                raise ValueError("asymmetry_ratio needs asymmetry = sr_dominant or rd_dominant")
+        elif self.asymmetry_ratio is None or not self.asymmetry_ratio > 1.0:
+            raise ValueError("asymmetric budgets need asymmetry_ratio > 1")
+        for name in ("p_s", "p_r", "alpha_sr", "alpha_rd"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
         if not self.grid_db:
             return
         # the scales grow with the average SNR, so the grid's ends bound them all
@@ -132,10 +145,6 @@ class RunConfig:
     def unit_scales(self) -> Tuple[float, float]:
         """Each hop's effective power alpha**2 * p: its scale at unit average SNR."""
         a_sr, a_rd = self.resolved_alphas()
-        for name, value in (("p_s", self.p_s), ("p_r", self.p_r),
-                            ("alpha_sr", a_sr), ("alpha_rd", a_rd)):
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0")
         return a_sr ** 2 * self.p_s, a_rd ** 2 * self.p_r
 
     def hop_scales(self) -> Tuple[list, list]:

@@ -47,6 +47,9 @@ from .wishart import CoeffTable, WishartDims, cdf_taylor
 #: excursion as a coefficient bug instead of roundoff.
 PROBABILITY_SLACK = 1e-12
 
+#: Most antennas at a node: an 8x8 table extracts in 13 ms, a 16x16 one in 18 s.
+MAX_ANTENNAS = 8
+
 Link = Literal["sr", "rd"]
 
 
@@ -73,8 +76,8 @@ class AntennaConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_s", "n_r1", "n_r2", "n_d"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            if not 1 <= getattr(self, name) <= MAX_ANTENNAS:
+                raise ValueError(f"{name} must be an integer from 1 to {MAX_ANTENNAS}")
         if self.mode is ZFMode.RECEIVE and self.n_r1 < 2:
             raise ValueError("receive ZF needs n_r1 >= 2 (projection removes one dimension)")
         if self.mode is ZFMode.TRANSMIT and self.n_r2 < 2:
@@ -86,31 +89,24 @@ class AntennaConfig:
 
 @dataclass(frozen=True)
 class OutageQuery:
-    """Outage threshold, either directly in linear SNR or via a target rate."""
+    """Outage threshold in linear SNR; ``rate`` builds it from a target rate."""
 
-    gamma_t: Optional[float] = None
-    rate_r0: Optional[float] = None
+    gamma_t: float
 
     def __post_init__(self) -> None:
-        if (self.gamma_t is None) == (self.rate_r0 is None):
-            raise ValueError("specify exactly one of gamma_t or rate_r0")
-        value = self.gamma_t if self.gamma_t is not None else self.rate_r0
-        if not value >= 0:
+        if not self.gamma_t >= 0:
             raise ValueError("threshold must be non-negative")
 
     @classmethod
     def snr(cls, gamma_t: float) -> "OutageQuery":
-        return cls(gamma_t=gamma_t)
+        return cls(gamma_t)
 
     @classmethod
     def rate(cls, r0: float) -> "OutageQuery":
-        return cls(rate_r0=r0)
+        return cls(rate_to_snr_threshold(r0))
 
     def snr_threshold(self) -> float:
-        """Resolve to a linear SNR threshold (rate form maps through 2**R - 1)."""
-        if self.gamma_t is not None:
-            return self.gamma_t
-        return rate_to_snr_threshold(self.rate_r0)
+        return self.gamma_t
 
 
 def rate_to_snr_threshold(r0: float) -> float:

@@ -183,6 +183,20 @@ def test_coeffs_rejects_degenerate_dims(tmp_path, capsys):
     assert main(["coeffs", "0x2", "--cache-dir", str(tmp_path)]) == 2
 
 
+def test_coeffs_accepts_an_upper_case_separator(tmp_path, capsys):
+    assert main(["coeffs", "2X3", "--cache-dir", str(tmp_path)]) == 0
+    assert "a=2 b=3: sum = 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dims", ["9x2", "2x1000000000000000000000"])
+def test_coeffs_rejects_dims_above_the_antenna_bound(tmp_path, capsys, dims):
+    assert main(["coeffs", dims, "--cache-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad dims {dims!r}: each dim must be at most 8" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_coeffs_requires_cache_dir(monkeypatch, capsys):
     monkeypatch.delenv("FDRELAY_CACHE_DIR", raising=False)
     assert main(["coeffs", "2x2"]) == 2
@@ -364,6 +378,8 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys, key, value):
     ("seed", str(2 ** 128), "seed must be in [0, 2**128)"),
     ("trials", "-3", "trials must be >= 0"),
     ("trials", str(2 ** 32 + 1), "trials must be <= 2**32"),
+    ("n_s", str(10 ** 30), "n_s must be an integer from 1 to 8"),
+    ("n_d", "9", "n_d must be an integer from 1 to 8"),
 ])
 def test_sweep_rejects_out_of_range_values(tmp_path, capsys, key, value, message):
     cfg = write_config(tmp_path, **{key: value})

@@ -13,6 +13,7 @@ from scipy import integrate
 
 from fdrelay.curves import exact_diversity
 from fdrelay.outage import (
+    MAX_ANTENNAS,
     AntennaConfig,
     InvalidProbabilityError,
     OutageQuery,
@@ -47,6 +48,9 @@ def test_antenna_config_validation():
         AntennaConfig(2, 2, 1, 1, ZFMode.TRANSMIT)
     with pytest.raises(ValueError):
         AntennaConfig(0, 2, 2, 1, ZFMode.RECEIVE)
+    with pytest.raises(ValueError, match="n_d must be an integer from 1 to 8"):
+        AntennaConfig(2, 2, 2, MAX_ANTENNAS + 1, ZFMode.RECEIVE)
+    AntennaConfig(*[MAX_ANTENNAS] * 4, ZFMode.TRANSMIT)
     # single relay-tx antenna is fine when the null is on the receive side
     AntennaConfig(2, 2, 1, 1, ZFMode.RECEIVE)
 
@@ -73,6 +77,12 @@ def test_run_config_unit_scales():
     ({"grid_db": (0.0, 4000.0)}, "the sr hop's linear scale"),
     ({"grid_db": (-4000.0, 0.0)}, "the sr hop's linear scale"),
     ({"alphas": (1.0, 1e-170)}, "the rd hop's linear scale"),
+    ({"asymmetry": "sr-dominant", "ratio": 1.5},
+     "asymmetry must be symmetric|sr_dominant|rd_dominant"),
+    ({"asymmetry": "sr_dominant"}, "asymmetric budgets need asymmetry_ratio > 1"),
+    ({"asymmetry": "rd_dominant", "ratio": 0.5}, "asymmetric budgets need asymmetry_ratio > 1"),
+    ({"ratio": 1.5}, "asymmetry_ratio needs asymmetry = sr_dominant or rd_dominant"),
+    ({"grid_db": (), "p_s": 0.0}, "p_s must be > 0"),
 ])
 def test_run_config_checks_its_ranges(kwargs, message):
     args = {"grid_db": (0.0, 30.0)} | kwargs
@@ -87,11 +97,37 @@ def test_run_config_without_a_grid_skips_the_scale_check():
         make_run((2, 3, 2, 1), "receive", (), seed=-1)
 
 
+#: Powers and amplitudes: zero, negative, non-finite, tiny and huge.
+budget_values = st.one_of(st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-200, 1e200]),
+                          st.floats(1e-3, 1e3))
+
+
+@given(p_s=budget_values, p_r=budget_values, alpha_sr=budget_values, alpha_rd=budget_values,
+       asymmetry=st.sampled_from(["symmetric", "sr_dominant", "rd_dominant", "sr-dominant"]),
+       ratio=st.one_of(st.none(), budget_values),
+       grid=st.lists(st.floats(-400, 400), max_size=3).map(lambda g: tuple(sorted(g))))
+@settings(max_examples=300, deadline=None)
+def test_run_config_builds_only_usable_runs(p_s, p_r, alpha_sr, alpha_rd, asymmetry, ratio,
+                                            grid):
+    try:
+        run = make_run((2, 3, 2, 1), "receive", grid, p_s=p_s, p_r=p_r,
+                       alphas=(alpha_sr, alpha_rd), asymmetry=asymmetry, ratio=ratio)
+    except ValueError:
+        return
+    assert all(v > 0 for v in (p_s, p_r, alpha_sr, alpha_rd))
+    if grid:  # a grid-free run's scales are not checked
+        for scales in run.hop_scales():
+            assert all(0.0 < s < math.inf for s in scales)
+    if asymmetry == "symmetric":
+        assert ratio is None and run.resolved_alphas() == (alpha_sr, alpha_rd)
+    else:
+        assert asymmetry in ("sr_dominant", "rd_dominant") and ratio > 1.0
+        dominant = (math.sqrt(ratio), 1.0)
+        assert run.resolved_alphas() == (dominant if asymmetry == "sr_dominant"
+                                         else dominant[::-1])
+
+
 def test_outage_query_validation():
-    with pytest.raises(ValueError):
-        OutageQuery()
-    with pytest.raises(ValueError):
-        OutageQuery(gamma_t=1.0, rate_r0=1.0)
     with pytest.raises(ValueError):
         OutageQuery.snr(-1.0)
     assert OutageQuery.snr(3.0).snr_threshold() == 3.0
