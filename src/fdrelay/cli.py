@@ -262,12 +262,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"warning: underpowered comparison ({run.trials} trials < 10000)",
               file=sys.stderr)
     curve = build_curve(run, resolve_cache_dir(args.cache_dir))
-    worst = 0.0
+    worst, non_finite = 0.0, []
     print("gammabar_db  analytic      mc            z")
     for r in curve.rows:
         z = _z_score(r.analytic, r.mc, run.trials)
+        if not math.isfinite(z):  # max() passes over a nan
+            non_finite.append(f"{r.gammabar_db:.4g}")
         worst = max(worst, abs(z))
         print(f"{r.gammabar_db:11.4g}  {r.analytic:.6e}  {r.mc:.6e}  {z:+.3f}")
+    if non_finite:
+        print(f"compare: FAIL (z is not finite at gammabar_db = {', '.join(non_finite)})",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     if worst > 3.0:
         print(f"compare: FAIL (max |z| = {worst:.3f} > 3)", file=sys.stderr)
         return EXIT_VALIDATION

@@ -14,14 +14,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import mcsim
 from .outage import (
     AntennaConfig,
     OutageQuery,
     diversity_order,
-    e2e_outage,
     link_dims,
     link_outage,
 )
@@ -66,8 +65,7 @@ def db_grid(start_db: float, stop_db: float, step_db: float) -> Tuple[float, ...
                  if start_db + i * step_db <= stop_db + 1e-9)
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     gammabar_db: float
     analytic: float
     mc: Optional[float]
@@ -99,7 +97,7 @@ class RunConfig:
         """Raises ValueError for trials or a seed out of range, for a budget
         the asymmetry shorthand does not allow, for a power or amplitude
         that is not > 0, or for a hop scale that is not finite and > 0 at
-        an end of a non-empty grid."""
+        an end of the grid or, with no grid, at unit average SNR."""
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.trials > MAX_TRIALS:
@@ -116,18 +114,20 @@ class RunConfig:
         for name in ("p_s", "p_r", "alpha_sr", "alpha_rd"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if not self.grid_db:
-            return
-        # the scales grow with the average SNR, so the grid's ends bound them all
+        # the scales grow with the average SNR, so the grid's ends bound them all;
+        # with no grid, the unit scales (0 dB) are checked
+        ends, at = (0.0,), " is out of range"
+        if self.grid_db:
+            ends = (min(self.grid_db), max(self.grid_db))
+            at = " * gammabar is out of range at an end of the grid"
         try:
             units = self.unit_scales()
-            gbars = (db_to_linear(min(self.grid_db)), db_to_linear(max(self.grid_db)))
+            gbars = [db_to_linear(g) for g in ends]
         except OverflowError:  # alpha ** 2 or the last point overflowed
             units, gbars = (math.inf, math.inf), (math.inf,)
         for hop, power, unit in zip(("sr", "rd"), ("p_s", "p_r"), units):
             if not all(0.0 < unit * g < math.inf for g in gbars):
-                raise ValueError(f"the {hop} hop's linear scale alpha_{hop}**2 * {power} "
-                                 "* gammabar is out of range at an end of the grid: "
+                raise ValueError(f"the {hop} hop's linear scale alpha_{hop}**2 * {power}{at}: "
                                  "it must be finite and > 0")
 
     def resolved_alphas(self) -> Tuple[float, float]:
@@ -202,37 +202,31 @@ def build_curve(run: RunConfig, cache_dir: Optional[Path] = None,
     CSV deterministic.
     """
     dims_sr, dims_rd = _analysis_dims(run.antenna, fault)
-    table_sr, _ = load_or_compute_table(dims_sr, cache_dir)
-    table_rd, _ = load_or_compute_table(dims_rd, cache_dir)
     gamma_t = run.query.snr_threshold()
     scales_sr, scales_rd = run.hop_scales()
+    # equal dims and equal scales, as in a symmetric budget: the same hop twice
+    same = dims_rd == dims_sr and scales_rd == scales_sr
+    table_sr, _ = load_or_compute_table(dims_sr, cache_dir)
+    table_rd = table_sr if same else load_or_compute_table(dims_rd, cache_dir)[0]
     p_sr = link_outage(table_sr, scales_sr, gamma_t)
-    p_rd = link_outage(table_rd, scales_rd, gamma_t)
-    failures = [None] * len(run.grid_db)
+    p_rd = p_sr if same else link_outage(table_rd, scales_rd, gamma_t)
+    mc = [(None, None, None)] * len(run.grid_db)
     if run.trials > 0:
         failures = mcsim.link_gain_samples(run.antenna, run.trials, run.seed,
                                            scales_sr, scales_rd, gamma_t)[0].tolist()
-    rows = []
-    for g_db, sr, rd, k in zip(run.grid_db, p_sr, p_rd, failures):
-        mc = ci_low = ci_high = None
-        if k is not None:
-            mc = k / run.trials
-            ci_low, ci_high = mcsim.wilson_interval(k, run.trials)
-        rows.append(CurveRow(g_db, e2e_outage(sr, rd), mc, ci_low, ci_high))
-    return OutageCurve(rows=tuple(rows))
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else format(value, ".10g")
+        mc = [(k / run.trials, *mcsim.wilson_interval(k, run.trials)) for k in failures]
+    # the link fails iff either hop fails; link_outage has clamped both to [0, 1]
+    return OutageCurve(rows=tuple(CurveRow(g_db, sr + (1.0 - sr) * rd, *m)
+                                  for g_db, sr, rd, m in zip(run.grid_db, p_sr, p_rd, mc)))
 
 
 def write_csv(curve: OutageCurve, path: str | Path) -> None:
+    """The curve as CSV: 10 significant digits, and empty Monte Carlo fields
+    where the row has none."""
     lines = [CSV_HEADER]
-    for r in curve.rows:
-        lines.append(",".join([
-            _fmt(r.gammabar_db), _fmt(r.analytic), _fmt(r.mc),
-            _fmt(r.ci_low), _fmt(r.ci_high),
-        ]))
+    lines += [f"{g:.10g},{p:.10g},,," if mc is None else
+              f"{g:.10g},{p:.10g},{mc:.10g},{lo:.10g},{hi:.10g}"
+              for g, p, mc, lo, hi in curve.rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

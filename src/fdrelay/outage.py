@@ -1,8 +1,8 @@
 """Closed-form outage probabilities for the two-hop full-duplex relay link.
 
-A decode-and-forward relay fails end to end when either hop fails, so the
-end-to-end outage combines the two per-hop outages.  Each hop's outage at
-threshold g is the CDF of its scaled largest eigenvalue at x = g / scale,
+A decode-and-forward relay fails end to end when either hop fails, so
+``curves`` combines the two per-hop outages given here.  Each hop's outage
+at threshold g is the CDF of its scaled largest eigenvalue at x = g / scale,
 where ``scale`` is the product of effective transmit power and average
 link SNR (the two only ever enter as a product).  The CDF is an exact
 exponential polynomial, read in one step off the mixture weights of
@@ -103,7 +103,10 @@ class OutageQuery:
 
     @classmethod
     def rate(cls, r0: float) -> "OutageQuery":
-        return cls(rate_to_snr_threshold(r0))
+        try:
+            return cls(rate_to_snr_threshold(r0))
+        except OverflowError:
+            raise ValueError(f"rate threshold {r0!r} overflows 2**R0 - 1") from None
 
     def snr_threshold(self) -> float:
         return self.gamma_t
@@ -132,35 +135,47 @@ def link_dims(config: AntennaConfig, link: Link) -> WishartDims:
     raise ValueError(f"unknown link {link!r}")
 
 
-def _check_probability(value: float, context: str) -> float:
-    if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
-        raise InvalidProbabilityError(f"{context} = {value!r} is outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
-
-
 def link_outage(table: CoeffTable, scales: Sequence[float], gamma_t: float) -> list[float]:
     """Per-hop outage at linear threshold gamma_t over a whole curve of
     scales, one probability per scale > 0: the hop CDF at x = gamma_t / scale.
 
     Each point is evaluated on its own, so a curve gives bit for bit the
-    values of one call per point.
+    values of one call per point. It takes the first branch whose error
+    bound is at most HOP_RTOL * F: the float Taylor series at 0 and the
+    float polynomial by Horner, in an order set by x alone, then ``decimal``.
     """
-    scales = tuple(scales)
-    for s in scales:
-        if not s > 0:
-            raise ValueError("scale must be > 0")
     if not gamma_t >= 0:
         raise ValueError("gamma_t must be non-negative")
-    if gamma_t == 0:
-        return [0.0] * len(scales)
     hop = _hop(table)
     outages = []
     for s in scales:
+        if not s > 0:
+            raise ValueError("scale must be > 0")
         x = gamma_t / s
         if x != x:  # inf / inf
             raise ValueError("gamma_t / scale is not a number")
-        value = 0.0 if x == 0.0 else _hop_cdf(hop, x)  # x == 0.0: gamma_t / scale underflowed
-        outages.append(_check_probability(value, "link outage"))
+        if x == 0.0:  # gamma_t is 0, or gamma_t / scale underflowed
+            outages.append(0.0)
+            continue
+        taylor = _taylor(hop, x) if x < hop.series_first else None
+        if taylor is not None and taylor[1] <= HOP_RTOL * taylor[0]:
+            value = taylor[0]
+        else:
+            horner = _horner(hop, x)
+            value = horner[0]
+            if not horner[1] <= HOP_RTOL * value:
+                if x >= hop.series_first:
+                    taylor = _taylor(hop, x)
+                if taylor is not None and taylor[1] <= HOP_RTOL * taylor[0]:
+                    value = taylor[0]
+                else:
+                    # the F of the float branch with the lesser relative bound sets the precision
+                    estimate = min(((err / f, f) for f, err, *_ in filter(None, (taylor, horner))
+                                    if 0 < f and err < f), default=(0.0, 0.0))[1]
+                    value = _decimal(hop, x, horner[2], estimate)
+        if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
+            raise InvalidProbabilityError(f"link outage = {value!r} is outside [0, 1]")
+        outages.append(0.0 if value < 0.0 else 1.0 if value > 1.0 else value)
     return outages
 
 
@@ -268,36 +283,11 @@ def _prepare(table: CoeffTable) -> _Hop:
     c00 = sum(table.entries.values(), Fraction(0))
     log_size = math.log(math.fsum(abs(c) for _, _, cs in polys for c in cs) or 1.0)
     hop = _Hop(c00, float(c00), tuple(polys), deg, rate, log_size, j0, tuple(series))
-    first = next((2.0 ** m for m in range(SERIES_EXP_MIN, SERIES_EXP_MAX + 1)
-                  if _proved(_horner(hop, 2.0 ** m))), math.inf)
-    return replace(hop, series_first=first)
-
-
-def _proved(result: Optional[Tuple[float, ...]]) -> bool:
-    """Whether a float branch's (F, error bound, ...) is within HOP_RTOL."""
-    return result is not None and result[1] <= HOP_RTOL * result[0]
-
-
-def _hop_cdf(hop: _Hop, x: float) -> float:
-    """F(x) for x > 0 from the first branch whose error bound is at most
-    HOP_RTOL * F: the float Taylor series at 0 and the float polynomial by
-    Horner, in an order set by x alone, then ``decimal``."""
-    taylor = None
-    if x < hop.series_first:
-        taylor = _taylor(hop, x)
-        if _proved(taylor):
-            return taylor[0]
-    horner = _horner(hop, x)
-    if _proved(horner):
-        return horner[0]
-    if x >= hop.series_first:
-        taylor = _taylor(hop, x)
-        if _proved(taylor):
-            return taylor[0]
-    # the F of the float branch with the lesser relative bound sets the precision
-    estimate = min(((err / f, f) for f, err, *_ in filter(None, (taylor, horner))
-                    if 0 < f and err < f), default=(0.0, 0.0))[1]
-    return _decimal(hop, x, horner[2], estimate)
+    for m in range(SERIES_EXP_MIN, SERIES_EXP_MAX + 1):
+        f, err, _ = _horner(hop, 2.0 ** m)
+        if err <= HOP_RTOL * f:
+            return replace(hop, series_first=2.0 ** m)
+    return replace(hop, series_first=math.inf)
 
 
 def _horner(hop: _Hop, x: float) -> Tuple[float, float, float]:
@@ -403,14 +393,6 @@ def _decimal(hop: _Hop, x: float, size: float, estimate: float) -> float:
             if err <= abs(total) * decimal.Decimal("1e-20") or err <= decimal.Decimal("1e-330"):
                 return float(total)
         digits *= 2
-
-
-def e2e_outage(p_sr: float, p_rd: float) -> float:
-    """Combine hop outages: the link fails iff either hop fails."""
-    for p in (p_sr, p_rd):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"hop outage {p!r} outside [0, 1]")
-    return p_sr + (1.0 - p_sr) * p_rd
 
 
 def diversity_order(config: AntennaConfig) -> int:

@@ -534,6 +534,19 @@ def test_compare_detects_injected_fault(tmp_path, capsys, monkeypatch):
     assert "compare: FAIL" in capsys.readouterr().err
 
 
+def test_compare_fails_on_a_z_that_is_not_a_number(tmp_path, capsys, monkeypatch):
+    # scipy's bdtr gives nan at n >= 2**31 trials, and max() passes over a nan
+    cfg = write_config(tmp_path, trials=20_000, seed=4, grid_stop_db=15)
+    at_5_db = build_curve(parse_run_config(cfg)).rows[1].analytic
+    z_score = cli._z_score
+    monkeypatch.setattr(cli, "_z_score", lambda analytic, mc, trials: (
+        math.nan if analytic == at_5_db else z_score(analytic, mc, trials)))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert "compare: OK" not in out
+    assert "compare: FAIL (z is not finite at gammabar_db = 5)" in err
+
+
 def test_compare_warns_when_underpowered(tmp_path, capsys):
     cfg = write_config(tmp_path, trials=1000, seed=12, grid_stop_db=10)
     main(["compare", "--config", str(cfg)])

@@ -11,16 +11,15 @@ import pytest
 from hypothesis import given, settings
 from scipy import integrate
 
-from fdrelay.curves import exact_diversity
+from fdrelay import curves, outage
+from fdrelay.curves import build_curve, exact_diversity
 from fdrelay.outage import (
     MAX_ANTENNAS,
     AntennaConfig,
     InvalidProbabilityError,
     OutageQuery,
     ZFMode,
-    _check_probability,
     diversity_order,
-    e2e_outage,
     link_dims,
     link_outage,
     rate_to_snr_threshold,
@@ -90,9 +89,15 @@ def test_run_config_checks_its_ranges(kwargs, message):
         make_run((2, 3, 2, 1), "receive", **args)
 
 
-def test_run_config_without_a_grid_skips_the_scale_check():
-    # the exact diversity check runs on a grid-free config
-    assert make_run((2, 3, 2, 1), "receive", (), alphas=(1.0, 1e-170)).grid_db == ()
+def test_run_config_without_a_grid_checks_its_unit_scales():
+    # the exact diversity check runs on a grid-free config, so its unit
+    # scales must be usable: alpha**2 underflows to 0 at 1e-170, and
+    # overflows at 1e200
+    assert make_run((2, 3, 2, 1), "receive", (), alphas=(1.0, 1e-150)).grid_db == ()
+    for alphas, hop in (((1.0, 1e-170), "rd"), ((1e200, 1.0), "sr")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the {hop} hop's linear scale alpha_{hop}**2 * p_{hop[0]} is out of range")):
+            make_run((2, 3, 2, 1), "receive", (), alphas=alphas)
     with pytest.raises(ValueError, match="seed must be"):
         make_run((2, 3, 2, 1), "receive", (), seed=-1)
 
@@ -115,9 +120,9 @@ def test_run_config_builds_only_usable_runs(p_s, p_r, alpha_sr, alpha_rd, asymme
     except ValueError:
         return
     assert all(v > 0 for v in (p_s, p_r, alpha_sr, alpha_rd))
-    if grid:  # a grid-free run's scales are not checked
-        for scales in run.hop_scales():
-            assert all(0.0 < s < math.inf for s in scales)
+    assert all(0.0 < s < math.inf for s in run.unit_scales())
+    for scales in run.hop_scales():
+        assert all(0.0 < s < math.inf for s in scales)
     if asymmetry == "symmetric":
         assert ratio is None and run.resolved_alphas() == (alpha_sr, alpha_rd)
     else:
@@ -259,11 +264,15 @@ def test_below_the_double_range_the_outage_rounds(dims, x):
     assert abs(value - float(max_eig_cdf(*dims, x))) <= 5e-324
 
 
-def test_nan_does_not_leak_out_of_closed_form():
+def test_nan_does_not_leak_out_of_closed_form(monkeypatch):
     with pytest.raises(ValueError, match="gamma_t must be non-negative"):
         link_outage(table(2, 3), [1.0], math.nan)
-    with pytest.raises(InvalidProbabilityError):
-        _check_probability(math.nan, "link outage")
+    # a branch that gives nan is caught by the [0, 1] check
+    monkeypatch.setattr(outage, "_taylor", lambda hop, x: None)
+    monkeypatch.setattr(outage, "_horner", lambda hop, x: (math.nan, math.inf, 1.0))
+    monkeypatch.setattr(outage, "_decimal", lambda hop, x, size, estimate: math.nan)
+    with pytest.raises(InvalidProbabilityError, match=re.escape("link outage = nan is outside")):
+        link_outage(table(2, 3), [1.0, 2.0], 1.0)
 
 
 def test_nan_rejected_by_every_guard():
@@ -296,20 +305,62 @@ def test_pdf_normalization(a, b):
 # -- combination --------------------------------------------------------------------------
 
 
-def test_e2e_examples():
-    assert e2e_outage(0.0, 0.4) == 0.4
-    assert e2e_outage(1.0, 0.3) == 1.0
-    assert e2e_outage(0.1, 0.2) == pytest.approx(0.28)
-    with pytest.raises(ValueError):
-        e2e_outage(-0.1, 0.5)
+def e2e(monkeypatch, p_sr, p_rd):
+    """build_curve's analytic column from the hop outages p_sr and p_rd, on
+    (2,3,2,1) receive, whose sr hop is 2x2 and rd hop 1x2."""
+    by_dims = {WishartDims(2, 2): list(p_sr), WishartDims(1, 2): list(p_rd)}
+    monkeypatch.setattr(curves, "link_outage", lambda t, scales, gamma_t: by_dims[t.dims])
+    return analytic_curve((2, 3, 2, 1), "receive", [10.0] * len(p_sr))
+
+
+def test_e2e_examples(monkeypatch):
+    assert e2e(monkeypatch, [0.0, 1.0, 0.1], [0.4, 0.3, 0.2]) == [0.4, 1.0, pytest.approx(0.28)]
+    # a hop outage outside [0, 1] never reaches the combination
+    monkeypatch.undo()
+    bogus = CoeffTable(WishartDims(1, 2), F(1), {(1, 1): F(3, 2)})
+    monkeypatch.setattr(curves, "load_or_compute_table", lambda dims, cache_dir: (bogus, "cached"))
+    with pytest.raises(InvalidProbabilityError):
+        build_curve(make_run((2, 2, 2, 2), "receive", (-10.0,)))
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_e2e_properties(p, q):
-    v = e2e_outage(p, q)
+    with pytest.MonkeyPatch.context() as mp:
+        (v,) = e2e(mp, [p], [q])
+        (swapped,) = e2e(mp, [q], [p])
     assert v == pytest.approx(1.0 - (1.0 - p) * (1.0 - q), abs=1e-15)
-    assert v == pytest.approx(e2e_outage(q, p), abs=1e-15)
+    assert v == pytest.approx(swapped, abs=1e-15)
     assert 0.0 <= v <= 1.0
+
+
+HOP_REUSE_CASES = {
+    "equal hops, symmetric: evaluated once": dict(antennas=(2, 3, 2, 2)),
+    "equal dims, unequal scales": dict(antennas=(2, 3, 2, 2), asymmetry="sr_dominant",
+                                       ratio=1.5),
+    "equal dims, p_s != p_r": dict(antennas=(2, 3, 2, 2), p_s=2.0, p_r=0.5),
+    "unequal dims": dict(antennas=(2, 3, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", HOP_REUSE_CASES)
+def test_analytic_column_is_the_combination_of_both_hops(case):
+    kwargs = dict(HOP_REUSE_CASES[case])
+    run = make_run(kwargs.pop("antennas"), "receive", [0.5 * i for i in range(81)], **kwargs)
+    gamma_t = run.query.snr_threshold()
+    scales_sr, scales_rd = run.hop_scales()
+    p_sr = link_outage(cached_table(link_dims(run.antenna, "sr")), scales_sr, gamma_t)
+    p_rd = link_outage(cached_table(link_dims(run.antenna, "rd")), scales_rd, gamma_t)
+    want = [sr + (1.0 - sr) * rd for sr, rd in zip(p_sr, p_rd)]
+    assert [r.analytic.hex() for r in build_curve(run).rows] == [v.hex() for v in want]
+
+
+def test_curve_row_fields_are_fixed():
+    row = build_curve(make_run((2, 3, 2, 1), "receive", (10.0,))).rows[0]
+    assert curves.CurveRow._fields == ("gammabar_db", "analytic", "mc", "ci_low", "ci_high")
+    assert repr(row) == (f"CurveRow(gammabar_db=10.0, analytic={row.analytic!r}, mc=None, "
+                         "ci_low=None, ci_high=None)")
+    with pytest.raises(AttributeError):
+        row.analytic = 0.5
 
 
 # -- rate threshold -----------------------------------------------------------------------
