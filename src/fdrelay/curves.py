@@ -10,17 +10,21 @@ the SNR grid in dB and ``RunConfig.hop_scales`` takes each point to linear.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
 from . import mcsim
 from .outage import (
     AntennaConfig,
+    HopCDF,
     OutageQuery,
     diversity_order,
+    hop_cdf,
     link_dims,
     link_outage,
 )
@@ -94,10 +98,15 @@ class RunConfig:
     asymmetry_ratio: Optional[float] = None
 
     def __post_init__(self):
-        """Raises ValueError for trials or a seed out of range, for a budget
-        the asymmetry shorthand does not allow, for a power or amplitude
-        that is not > 0, or for a hop scale that is not finite and > 0 at
-        an end of the grid or, with no grid, at unit average SNR."""
+        """Raises ValueError for trials or a seed not an integer in range, for
+        a budget the asymmetry shorthand does not allow, for a power or
+        amplitude not > 0, or for a hop scale not finite and > 0 at an end
+        of the grid or, with no grid, at unit average SNR."""
+        for name, value in (("trials", self.trials), ("seed", self.seed)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.trials < 0:
             raise ValueError(f"trials must be >= 0, got {self.trials}")
         if self.trials > MAX_TRIALS:
@@ -158,15 +167,11 @@ class RunConfig:
 # -- coefficient cache --------------------------------------------------------
 
 
-def _cache_path(cache_dir: Path, dims: WishartDims) -> Path:
-    return cache_dir / f"coeff_a{dims.a}_b{dims.b}.txt"
-
-
 def load_or_compute_table(dims: WishartDims, cache_dir: Optional[Path]) -> tuple[CoeffTable, str]:
     """Fetch a weight table, preferring the disk cache; returns (table, origin)."""
     if cache_dir is None:
         return cached_table(dims), "computed"
-    path = _cache_path(cache_dir, dims)
+    path = cache_dir / f"coeff_a{dims.a}_b{dims.b}.txt"
     if path.exists():
         try:
             table = load_table(path)
@@ -179,6 +184,12 @@ def load_or_compute_table(dims: WishartDims, cache_dir: Optional[Path]) -> tuple
     cache_dir.mkdir(parents=True, exist_ok=True)
     save_table(table, path)
     return table, "computed"
+
+
+@lru_cache(maxsize=None)
+def _hop(dims: WishartDims, cache_dir: Optional[Path]) -> HopCDF:
+    """A hop's CDF, read and prepared once per process per dims and cache directory."""
+    return hop_cdf(load_or_compute_table(dims, cache_dir)[0])
 
 
 def _analysis_dims(antenna: AntennaConfig, fault: Optional[str]) -> tuple[WishartDims, WishartDims]:
@@ -202,14 +213,12 @@ def build_curve(run: RunConfig, cache_dir: Optional[Path] = None,
     CSV deterministic.
     """
     dims_sr, dims_rd = _analysis_dims(run.antenna, fault)
-    gamma_t = run.query.snr_threshold()
+    gamma_t = run.query.gamma_t
     scales_sr, scales_rd = run.hop_scales()
+    p_sr = link_outage(_hop(dims_sr, cache_dir), scales_sr, gamma_t)
     # equal dims and equal scales, as in a symmetric budget: the same hop twice
     same = dims_rd == dims_sr and scales_rd == scales_sr
-    table_sr, _ = load_or_compute_table(dims_sr, cache_dir)
-    table_rd = table_sr if same else load_or_compute_table(dims_rd, cache_dir)[0]
-    p_sr = link_outage(table_sr, scales_sr, gamma_t)
-    p_rd = p_sr if same else link_outage(table_rd, scales_rd, gamma_t)
+    p_rd = p_sr if same else link_outage(_hop(dims_rd, cache_dir), scales_rd, gamma_t)
     mc = [(None, None, None)] * len(run.grid_db)
     if run.trials > 0:
         failures = mcsim.link_gain_samples(run.antenna, run.trials, run.seed,
@@ -263,7 +272,7 @@ def exact_diversity(run: RunConfig, cache_dir: Optional[Path] = None) -> Diversi
     ok = d == predicted and all(o == ab and t > 0 for ab, o, t, _ in hops)
     gain_db = None
     if ok:
-        gamma_t = Fraction(run.query.snr_threshold())
+        gamma_t = Fraction(run.query.gamma_t)
         s = sum(t * (gamma_t / Fraction(unit)) ** d for ab, _, t, unit in hops if ab == d)
         gain_db = 10.0 * (math.log(s.denominator) - math.log(s.numerator)) / (d * math.log(10.0))
     return DiversityCheck(predicted, tuple(o for _, o, _, _ in hops), gain_db, ok)

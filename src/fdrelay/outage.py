@@ -5,8 +5,8 @@ A decode-and-forward relay fails end to end when either hop fails, so
 at threshold g is the CDF of its scaled largest eigenvalue at x = g / scale,
 where ``scale`` is the product of effective transmit power and average
 link SNR (the two only ever enter as a product).  The CDF is an exact
-exponential polynomial, read in one step off the mixture weights of
-``wishart``:
+exponential polynomial, which ``hop_cdf`` reads in one step off the
+mixture weights of a ``wishart`` table:
 
     F(x) = c00 + sum_n e^{-n x} sum_l c[n, l] x^l,
     c00 = sum w,  c[n, l] = -(n^l / l!) sum_{m >= l} w[n, m].
@@ -25,15 +25,17 @@ proves a relative error of at most HOP_RTOL = 1e-12:
 
 Which float branch goes first depends on x and the table alone, so a point
 has the same value in any curve.  Below the double range the value is
-returned rounded, to a subnormal or to 0.0, and is not an error.  All
-functions here are pure and operate in linear SNR units; dB conversions
-belong to ``curves`` and ``cli``.
+returned rounded, to a subnormal or to 0.0, and is not an error.  The
+module keeps no state (``curves`` keeps each prepared hop); its functions
+are pure and operate in linear SNR units, and dB conversions belong to
+``curves`` and ``cli``.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -76,7 +78,11 @@ class AntennaConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_s", "n_r1", "n_r2", "n_d"):
-            if not 1 <= getattr(self, name) <= MAX_ANTENNAS:
+            try:
+                count = operator.index(getattr(self, name))
+            except TypeError:
+                count = 0
+            if not 1 <= count <= MAX_ANTENNAS:
                 raise ValueError(f"{name} must be an integer from 1 to {MAX_ANTENNAS}")
         if self.mode is ZFMode.RECEIVE and self.n_r1 < 2:
             raise ValueError("receive ZF needs n_r1 >= 2 (projection removes one dimension)")
@@ -94,8 +100,8 @@ class OutageQuery:
     gamma_t: float
 
     def __post_init__(self) -> None:
-        if not self.gamma_t >= 0:
-            raise ValueError("threshold must be non-negative")
+        if not 0 <= self.gamma_t < math.inf:
+            raise ValueError("threshold must be finite and non-negative")
 
     @classmethod
     def snr(cls, gamma_t: float) -> "OutageQuery":
@@ -107,9 +113,6 @@ class OutageQuery:
             return cls(rate_to_snr_threshold(r0))
         except OverflowError:
             raise ValueError(f"rate threshold {r0!r} overflows 2**R0 - 1") from None
-
-    def snr_threshold(self) -> float:
-        return self.gamma_t
 
 
 def rate_to_snr_threshold(r0: float) -> float:
@@ -135,9 +138,10 @@ def link_dims(config: AntennaConfig, link: Link) -> WishartDims:
     raise ValueError(f"unknown link {link!r}")
 
 
-def link_outage(table: CoeffTable, scales: Sequence[float], gamma_t: float) -> list[float]:
+def link_outage(hop: HopCDF, scales: Sequence[float], gamma_t: float) -> list[float]:
     """Per-hop outage at linear threshold gamma_t over a whole curve of
-    scales, one probability per scale > 0: the hop CDF at x = gamma_t / scale.
+    scales, one probability per scale > 0: the CDF ``hop`` (from ``hop_cdf``)
+    at x = gamma_t / scale.
 
     Each point is evaluated on its own, so a curve gives bit for bit the
     values of one call per point. It takes the first branch whose error
@@ -146,7 +150,6 @@ def link_outage(table: CoeffTable, scales: Sequence[float], gamma_t: float) -> l
     """
     if not gamma_t >= 0:
         raise ValueError("gamma_t must be non-negative")
-    hop = _hop(table)
     outages = []
     for s in scales:
         if not s > 0:
@@ -196,9 +199,9 @@ _LOG_UNDERFLOW = -1076 * math.log(2.0)
 
 
 @dataclass(frozen=True)
-class _Hop:
+class HopCDF:
     """A table's CDF F(x) = c00 + sum_n e^{-nx} sum_l c[n, l] x^l, ready to
-    evaluate in each branch; see ``_prepare``."""
+    evaluate in each branch; see ``hop_cdf``."""
 
     c00: Fraction
     c00_float: float
@@ -213,21 +216,7 @@ class _Hop:
     series_first: float = 0.0  # below this x the series goes before Horner
 
 
-_HOPS: dict = {}
-
-
-def _hop(table: CoeffTable) -> _Hop:
-    """The evaluation data of a table, made once per process for each
-    distinct table content: a table read from disk is a new object with
-    the same weights."""
-    key = (table.dims, tuple(table.entries.items()))
-    hop = _HOPS.get(key)
-    if hop is None:
-        hop = _HOPS[key] = _prepare(table)
-    return hop
-
-
-def _prepare(table: CoeffTable) -> _Hop:
+def hop_cdf(table: CoeffTable) -> HopCDF:
     """Exact CDF coefficients from the weights, c00 = sum w and
     c[n, j] = -(n^j / j!) sum_{m >= j} w[n, m], and their floats.
 
@@ -282,7 +271,7 @@ def _prepare(table: CoeffTable) -> _Hop:
         series.append(count and (tails[count - 1], tuple(reversed(taylor[:count]))))
     c00 = sum(table.entries.values(), Fraction(0))
     log_size = math.log(math.fsum(abs(c) for _, _, cs in polys for c in cs) or 1.0)
-    hop = _Hop(c00, float(c00), tuple(polys), deg, rate, log_size, j0, tuple(series))
+    hop = HopCDF(c00, float(c00), tuple(polys), deg, rate, log_size, j0, tuple(series))
     for m in range(SERIES_EXP_MIN, SERIES_EXP_MAX + 1):
         f, err, _ = _horner(hop, 2.0 ** m)
         if err <= HOP_RTOL * f:
@@ -290,7 +279,7 @@ def _prepare(table: CoeffTable) -> _Hop:
     return replace(hop, series_first=math.inf)
 
 
-def _horner(hop: _Hop, x: float) -> Tuple[float, float, float]:
+def _horner(hop: HopCDF, x: float) -> Tuple[float, float, float]:
     """(F, error bound, size) from the float polynomial: one Horner pass
     per decay index on one exp(-x) and its powers.
 
@@ -330,7 +319,7 @@ def _horner(hop: _Hop, x: float) -> Tuple[float, float, float]:
     return f, (hop.rate + 10) * _EPS * size + dropped, size
 
 
-def _taylor(hop: _Hop, x: float) -> Optional[Tuple[float, float]]:
+def _taylor(hop: HopCDF, x: float) -> Optional[Tuple[float, float]]:
     """(F, error bound) from the float Taylor series x^j0 sum_i t_{j0+i} x^i
     by Horner over the terms set up for x, or None where there are none,
     where the bound on the rest is not below 2^-56 of the sum, or where F
@@ -359,7 +348,7 @@ def _taylor(hop: _Hop, x: float) -> Optional[Tuple[float, float]]:
     return None
 
 
-def _decimal(hop: _Hop, x: float, size: float, estimate: float) -> float:
+def _decimal(hop: HopCDF, x: float, size: float, estimate: float) -> float:
     """F from the exact coefficients in ``decimal``.
 
     The precision is 25 digits plus the cancellation digits

@@ -49,7 +49,7 @@ def test_parse_round_trip(tmp_path):
                                         asymmetry_ratio=1.5))
     assert cfg.antenna.n_r1 == 3
     assert cfg.grid_db == (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
-    assert cfg.query.snr_threshold() == pytest.approx(10.0)
+    assert cfg.query.gamma_t == pytest.approx(10.0)
     a_sr, a_rd = cfg.resolved_alphas()
     assert a_sr == 1.0 and a_rd == pytest.approx(1.5 ** 0.5)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fdrelay.outage import link_outage
+from fdrelay.outage import hop_cdf, link_outage
 from fdrelay.wishart import WishartDims, extract_coefficients
 from kang_alouini import max_eig_cdf, mixture_cdf, relative_error
 
@@ -20,7 +20,7 @@ def test_exact_weights_give_the_kang_alouini_cdf(dims):
 
 def _closed_form_error(dims, x):
     table = extract_coefficients(WishartDims(*dims))
-    return relative_error(link_outage(table, [1.0], x)[0], max_eig_cdf(*dims, x))
+    return relative_error(link_outage(hop_cdf(table), [1.0], x)[0], max_eig_cdf(*dims, x))
 
 
 @pytest.mark.parametrize("dims, x", [
@@ -44,7 +44,7 @@ TAIL_XS = [10.0 ** (2 - k / 4) for k in range(33)]
 @pytest.mark.parametrize("dims", DIMS_UP_TO_4X7, ids=lambda d: f"{d[0]}x{d[1]}")
 def test_closed_form_matches_the_oracle_down_the_tail(dims):
     scales = [1.0 / x for x in TAIL_XS]
-    values = link_outage(extract_coefficients(WishartDims(*dims)), scales, 1.0)
+    values = link_outage(hop_cdf(extract_coefficients(WishartDims(*dims))), scales, 1.0)
     for scale, value in zip(scales, values):
         x = 1.0 / scale  # the x that link_outage saw
         assert relative_error(value, max_eig_cdf(*dims, x)) <= 1e-12, x

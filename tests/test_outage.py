@@ -20,6 +20,7 @@ from fdrelay.outage import (
     OutageQuery,
     ZFMode,
     diversity_order,
+    hop_cdf,
     link_dims,
     link_outage,
     rate_to_snr_threshold,
@@ -36,6 +37,10 @@ def table(a, b):
     return cached_table(WishartDims(a, b))
 
 
+def hop(a, b):
+    return hop_cdf(table(a, b))
+
+
 # -- configuration types -----------------------------------------------------
 
 
@@ -49,6 +54,11 @@ def test_antenna_config_validation():
         AntennaConfig(0, 2, 2, 1, ZFMode.RECEIVE)
     with pytest.raises(ValueError, match="n_d must be an integer from 1 to 8"):
         AntennaConfig(2, 2, 2, MAX_ANTENNAS + 1, ZFMode.RECEIVE)
+    # a count must be an integer: 2.5 used to pass and fail later in build_curve
+    for bad in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="n_s must be an integer from 1 to 8"):
+            AntennaConfig(bad, 3, 2, 1, ZFMode.RECEIVE)
+    AntennaConfig(np.int64(2), 3, 2, 1, ZFMode.RECEIVE)
     AntennaConfig(*[MAX_ANTENNAS] * 4, ZFMode.TRANSMIT)
     # single relay-tx antenna is fine when the null is on the receive side
     AntennaConfig(2, 2, 1, 1, ZFMode.RECEIVE)
@@ -73,6 +83,9 @@ def test_run_config_unit_scales():
     ({"trials": 2 ** 32 + 1}, "trials must be <= 2**32"),
     ({"seed": -1}, "seed must be in [0, 2**128)"),
     ({"seed": 2 ** 128}, "seed must be in [0, 2**128)"),
+    ({"trials": 10.5}, "trials must be an integer, got 10.5"),
+    ({"trials": 10.0}, "trials must be an integer, got 10.0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"grid_db": (0.0, 4000.0)}, "the sr hop's linear scale"),
     ({"grid_db": (-4000.0, 0.0)}, "the sr hop's linear scale"),
     ({"alphas": (1.0, 1e-170)}, "the rd hop's linear scale"),
@@ -135,8 +148,17 @@ def test_run_config_builds_only_usable_runs(p_s, p_r, alpha_sr, alpha_rd, asymme
 def test_outage_query_validation():
     with pytest.raises(ValueError):
         OutageQuery.snr(-1.0)
-    assert OutageQuery.snr(3.0).snr_threshold() == 3.0
-    assert OutageQuery.rate(1.0).snr_threshold() == 1.0
+    assert OutageQuery.snr(3.0).gamma_t == 3.0
+    assert OutageQuery.rate(1.0).gamma_t == 1.0
+
+
+def test_outage_query_refuses_a_non_finite_threshold():
+    # an infinite threshold gave an outage of 1 at every point, and an
+    # OverflowError in exact_diversity
+    for call in (lambda: OutageQuery(math.inf), lambda: OutageQuery.snr(math.inf),
+                 lambda: OutageQuery.rate(math.inf)):
+        with pytest.raises(ValueError, match="threshold must be finite and non-negative"):
+            call()
 
 
 # -- link dims ------------------------------------------------------------------
@@ -160,14 +182,14 @@ def test_link_dims_transmit():
 
 
 def test_link_outage_limits():
-    t = table(2, 3)
+    t = hop(2, 3)
     assert link_outage(t, [2.0], 0.0) == [0.0]
     assert link_outage(t, [2.0], 1e9)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_link_outage_erlang_two():
     # Erlang(2) CDF at 1: 1 - 2/e; cross-checked by quadrature of x e^-x
-    t = table(1, 2)
+    t = hop(1, 2)
     expected = 1.0 - 2.0 * math.exp(-1.0)
     (p,) = link_outage(t, [1.0], 1.0)
     assert p == pytest.approx(expected, rel=1e-12)
@@ -181,11 +203,12 @@ def test_link_outage_consistent_with_pdf(a, b, scale):
     for gamma_t in (0.4, 1.3, 6.0):
         ref, err = integrate.quad(lambda x: link_snr_pdf(t, scale, x), 0.0, gamma_t,
                                   limit=200)
-        assert link_outage(t, [scale], gamma_t)[0] == pytest.approx(ref, abs=max(1e-8, 10 * err))
+        assert link_outage(hop_cdf(t), [scale], gamma_t)[0] == pytest.approx(
+            ref, abs=max(1e-8, 10 * err))
 
 
 def test_link_outage_monotone_in_threshold_and_scale():
-    t = table(2, 2)
+    t = hop(2, 2)
     thresholds = np.linspace(0.0, 20.0, 60)
     vals = [link_outage(t, [2.5], float(g))[0] for g in thresholds]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
@@ -197,7 +220,7 @@ def test_link_outage_rejects_bogus_weights():
     good = table(1, 2)
     bogus = CoeffTable(good.dims, good.norm_const, {(1, 1): F(3, 2)})
     with pytest.raises(InvalidProbabilityError):
-        link_outage(bogus, [1.0], 1e6)  # weights sum to 1.5 -> "probability" 1.5
+        link_outage(hop_cdf(bogus), [1.0], 1e6)  # weights sum to 1.5 -> "probability" 1.5
 
 
 @settings(max_examples=150, deadline=None)
@@ -205,7 +228,7 @@ def test_link_outage_rejects_bogus_weights():
        st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=30))
 def test_link_outage_is_monotone(dims, log10_x, steps):
     # points at least 1e-4 apart in x, from 1e-6 to about 1e4
-    t = table(*dims)
+    t = hop(*dims)
     xs = [10.0 ** log10_x]
     for step in steps:
         xs.append(xs[-1] * (1.0 + step))
@@ -219,6 +242,7 @@ def test_link_outage_is_monotone(dims, log10_x, steps):
 def test_whole_curve_is_bitwise_per_point_reference(a, b):
     # one link_outage call per point is the reference for a whole curve
     t = table(a, b)
+    h = hop_cdf(t)
     rng = np.random.default_rng(100 * a + b)
     curves = {3.7: [3.7 / x for x in 10.0 ** rng.uniform(-8.0, 4.0, 300)]}
     # scales 1 and 0.5 make x = gamma_t / scale exact; from x = 746 on
@@ -228,13 +252,13 @@ def test_whole_curve_is_bitwise_per_point_reference(a, b):
     curves.update((x, [1.0, 0.5, 1e300]) for x in edges)
     curves[1e-300] = [1e300, 1.0, 1e-10]  # gamma_t / scale underflows to 0.0 at 1e300
     for gamma_t, scales in curves.items():
-        curve = link_outage(t, scales, gamma_t)
+        curve = link_outage(h, scales, gamma_t)
         assert [v.hex() for v in curve] == [
-            link_outage(t, [s], gamma_t)[0].hex() for s in scales], gamma_t
+            link_outage(h, [s], gamma_t)[0].hex() for s in scales], gamma_t
 
 
 def test_whole_curve_edges():
-    t = table(3, 4)
+    t = hop(3, 4)
     # gamma_t / scale underflows to 0.0: the outage is 0, as per point
     assert link_outage(t, [1e300], 1e-300) == [0.0]
     assert link_outage(t, [1e300, 2.0], 1e-300) == [0.0, link_outage(t, [2.0], 1e-300)[0]]
@@ -259,20 +283,20 @@ def test_whole_curve_edges():
 def test_below_the_double_range_the_outage_rounds(dims, x):
     # a value below the normal range is returned rounded, to a subnormal or
     # 0.0, and is not raised
-    (value,) = link_outage(table(*dims), [1.0], x)
+    (value,) = link_outage(hop(*dims), [1.0], x)
     assert value < sys.float_info.min
     assert abs(value - float(max_eig_cdf(*dims, x))) <= 5e-324
 
 
 def test_nan_does_not_leak_out_of_closed_form(monkeypatch):
     with pytest.raises(ValueError, match="gamma_t must be non-negative"):
-        link_outage(table(2, 3), [1.0], math.nan)
+        link_outage(hop(2, 3), [1.0], math.nan)
     # a branch that gives nan is caught by the [0, 1] check
     monkeypatch.setattr(outage, "_taylor", lambda hop, x: None)
     monkeypatch.setattr(outage, "_horner", lambda hop, x: (math.nan, math.inf, 1.0))
     monkeypatch.setattr(outage, "_decimal", lambda hop, x, size, estimate: math.nan)
     with pytest.raises(InvalidProbabilityError, match=re.escape("link outage = nan is outside")):
-        link_outage(table(2, 3), [1.0, 2.0], 1.0)
+        link_outage(hop(2, 3), [1.0, 2.0], 1.0)
 
 
 def test_nan_rejected_by_every_guard():
@@ -308,8 +332,9 @@ def test_pdf_normalization(a, b):
 def e2e(monkeypatch, p_sr, p_rd):
     """build_curve's analytic column from the hop outages p_sr and p_rd, on
     (2,3,2,1) receive, whose sr hop is 2x2 and rd hop 1x2."""
-    by_dims = {WishartDims(2, 2): list(p_sr), WishartDims(1, 2): list(p_rd)}
-    monkeypatch.setattr(curves, "link_outage", lambda t, scales, gamma_t: by_dims[t.dims])
+    by_hop = {curves._hop(WishartDims(2, 2), None): list(p_sr),
+              curves._hop(WishartDims(1, 2), None): list(p_rd)}
+    monkeypatch.setattr(curves, "link_outage", lambda hop, scales, gamma_t: by_hop[hop])
     return analytic_curve((2, 3, 2, 1), "receive", [10.0] * len(p_sr))
 
 
@@ -318,7 +343,7 @@ def test_e2e_examples(monkeypatch):
     # a hop outage outside [0, 1] never reaches the combination
     monkeypatch.undo()
     bogus = CoeffTable(WishartDims(1, 2), F(1), {(1, 1): F(3, 2)})
-    monkeypatch.setattr(curves, "load_or_compute_table", lambda dims, cache_dir: (bogus, "cached"))
+    monkeypatch.setattr(curves, "_hop", lambda dims, cache_dir: hop_cdf(bogus))
     with pytest.raises(InvalidProbabilityError):
         build_curve(make_run((2, 2, 2, 2), "receive", (-10.0,)))
 
@@ -346,12 +371,26 @@ HOP_REUSE_CASES = {
 def test_analytic_column_is_the_combination_of_both_hops(case):
     kwargs = dict(HOP_REUSE_CASES[case])
     run = make_run(kwargs.pop("antennas"), "receive", [0.5 * i for i in range(81)], **kwargs)
-    gamma_t = run.query.snr_threshold()
+    gamma_t = run.query.gamma_t
     scales_sr, scales_rd = run.hop_scales()
-    p_sr = link_outage(cached_table(link_dims(run.antenna, "sr")), scales_sr, gamma_t)
-    p_rd = link_outage(cached_table(link_dims(run.antenna, "rd")), scales_rd, gamma_t)
+    p_sr = link_outage(hop_cdf(cached_table(link_dims(run.antenna, "sr"))), scales_sr, gamma_t)
+    p_rd = link_outage(hop_cdf(cached_table(link_dims(run.antenna, "rd"))), scales_rd, gamma_t)
     want = [sr + (1.0 - sr) * rd for sr, rd in zip(p_sr, p_rd)]
     assert [r.analytic.hex() for r in build_curve(run).rows] == [v.hex() for v in want]
+
+
+def test_each_cache_file_is_read_once_per_process(tmp_path, monkeypatch):
+    # both hops of (2,3,2,2) receive are 2x2; the second run's unequal
+    # scales make it evaluate each hop on its own
+    path = tmp_path / "coeff_a2_b2.txt"
+    curves.load_or_compute_table(WishartDims(2, 2), tmp_path)
+    reads = []
+    load_table = curves.load_table
+    monkeypatch.setattr(curves, "load_table", lambda p: reads.append(p) or load_table(p))
+    build_curve(make_run((2, 3, 2, 2), "receive", (0.0, 10.0)), tmp_path)
+    build_curve(make_run((2, 3, 2, 2), "receive", (0.0, 10.0), asymmetry="sr_dominant",
+                         ratio=1.5), tmp_path)
+    assert reads == [path]
 
 
 def test_curve_row_fields_are_fixed():
