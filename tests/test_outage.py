@@ -83,9 +83,6 @@ def test_run_config_unit_scales():
     ({"trials": 2 ** 32 + 1}, "trials must be <= 2**32"),
     ({"seed": -1}, "seed must be in [0, 2**128)"),
     ({"seed": 2 ** 128}, "seed must be in [0, 2**128)"),
-    ({"trials": 10.5}, "trials must be an integer, got 10.5"),
-    ({"trials": 10.0}, "trials must be an integer, got 10.0"),
-    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"grid_db": (0.0, 4000.0)}, "the sr hop's linear scale"),
     ({"grid_db": (-4000.0, 0.0)}, "the sr hop's linear scale"),
     ({"alphas": (1.0, 1e-170)}, "the rd hop's linear scale"),
@@ -95,6 +92,9 @@ def test_run_config_unit_scales():
     ({"asymmetry": "rd_dominant", "ratio": 0.5}, "asymmetric budgets need asymmetry_ratio > 1"),
     ({"ratio": 1.5}, "asymmetry_ratio needs asymmetry = sr_dominant or rd_dominant"),
     ({"grid_db": (), "p_s": 0.0}, "p_s must be > 0"),
+    ({"trials": 10.5}, "trials must be an integer, got 10.5"),
+    ({"trials": 10.0}, "trials must be an integer, got 10.0"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
 ])
 def test_run_config_checks_its_ranges(kwargs, message):
     args = {"grid_db": (0.0, 30.0)} | kwargs
