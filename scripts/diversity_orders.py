@@ -19,7 +19,10 @@ def main() -> int:
     parser.add_argument("--gamma-t-db", default=10.0, type=float)
     args = parser.parse_args()
 
-    query = OutageQuery.snr(db_to_linear(args.gamma_t_db))
+    try:
+        query = OutageQuery.snr(db_to_linear(args.gamma_t_db))
+    except (OverflowError, ValueError):  # 10 ** 400 overflows; nan is refused
+        parser.error(f"--gamma-t-db {args.gamma_t_db}: its linear threshold must be finite")
     passed = 0
     for antennas in CONFIGS:
         for mode in (ZFMode.RECEIVE, ZFMode.TRANSMIT):

@@ -1,4 +1,4 @@
-"""Command-line front end: coefficient cache management, SNR sweeps,
+"""Command-line front end: exact weight-table checks, SNR sweeps,
 analytic-vs-Monte-Carlo comparison, and exact diversity-order checks.
 
 The commands run on the library in ``curves``, which turns the SNR grid
@@ -16,10 +16,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from . import mcsim
 from .curves import (
@@ -41,8 +39,6 @@ from .outage import (
     rate_to_snr_threshold,
 )
 from .wishart import NonzeroResidualError, WishartDims
-
-CACHE_DIR_ENV = "FDRELAY_CACHE_DIR"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -173,16 +169,6 @@ def parse_run_config(path: str | Path) -> RunConfig:
     return run
 
 
-# -- coefficient cache --------------------------------------------------------
-
-
-def resolve_cache_dir(flag_value: Optional[str]) -> Optional[Path]:
-    if flag_value:
-        return Path(flag_value)
-    env = os.environ.get(CACHE_DIR_ENV)
-    return Path(env) if env else None
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -204,17 +190,11 @@ def _parse_dims_arg(text: str) -> WishartDims:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    if cache_dir is None:
-        print(f"coeffs: no cache directory (use --cache-dir or ${CACHE_DIR_ENV})",
-              file=sys.stderr)
-        return EXIT_USAGE
     dims_list = [_parse_dims_arg(d) for d in args.dims]
     for dims in dims_list:
-        table, origin = load_or_compute_table(dims, cache_dir)
+        table = load_or_compute_table(dims)
         total = table.total()
-        print(f"a={dims.a} b={dims.b}: sum = {total} "
-              f"({len(table.entries)} entries, {origin})")
+        print(f"a={dims.a} b={dims.b}: sum = {total} ({len(table.entries)} entries)")
         if total != 1:
             print(f"coeffs: weight sum is {total}, expected 1", file=sys.stderr)
             return EXIT_VALIDATION
@@ -236,7 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     run = _load_run(args)
     if run.out_csv is None:
         raise ConfigError("sweep needs out_csv in the config file")
-    curve = build_curve(run, resolve_cache_dir(args.cache_dir))
+    curve = build_curve(run)
     write_csv(curve, run.out_csv)
     print(f"wrote {len(curve.rows)} points to {run.out_csv}")
     return EXIT_OK
@@ -261,7 +241,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if run.trials < 10_000:
         print(f"warning: underpowered comparison ({run.trials} trials < 10000)",
               file=sys.stderr)
-    curve = build_curve(run, resolve_cache_dir(args.cache_dir))
+    curve = build_curve(run)
     worst, non_finite = 0.0, []
     print("gammabar_db  analytic      mc            z")
     for r in curve.rows:
@@ -283,7 +263,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_diversity(args: argparse.Namespace) -> int:
     run = _load_run(args)
-    check = exact_diversity(run, resolve_cache_dir(args.cache_dir))
+    check = exact_diversity(run)
     a = run.antenna
     print(f"config ({a.n_s},{a.n_r1},{a.n_r2},{a.n_d}) {a.mode.value}: {check}")
     return EXIT_OK if check.ok else EXIT_VALIDATION
@@ -299,10 +279,9 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_coeffs = sub.add_parser("coeffs", help="compute and cache eigenvalue-law weight tables")
+    p_coeffs = sub.add_parser("coeffs", help="compute and check eigenvalue-law weight tables")
     p_coeffs.add_argument("dims", nargs="+", metavar="N1xN2",
                           help="channel matrix dimensions, e.g. 2x3")
-    p_coeffs.add_argument("--cache-dir", default=None)
 
     for name, helptext in (
         ("sweep", "write an outage-vs-SNR CSV for a run config"),
@@ -311,7 +290,6 @@ def make_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True)
-        p.add_argument("--cache-dir", default=None)
         if name != "diversity":
             p.add_argument("--seed", type=int, default=None)
             p.add_argument("--trials", type=int, default=None)

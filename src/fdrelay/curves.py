@@ -33,7 +33,6 @@ from .wishart import (
     CoeffTable,
     WishartDims,
     cached_table,
-    cdf_taylor,
     extract_coefficients,
     load_table,
     save_table,
@@ -167,29 +166,30 @@ class RunConfig:
 # -- coefficient cache --------------------------------------------------------
 
 
-def load_or_compute_table(dims: WishartDims, cache_dir: Optional[Path]) -> tuple[CoeffTable, str]:
-    """Fetch a weight table, preferring the disk cache; returns (table, origin)."""
+def load_or_compute_table(dims: WishartDims, cache_dir: Optional[Path] = None) -> CoeffTable:
+    """A weight table from memory or, given a directory, from that disk cache, which
+    each computed table fills.  Only the benchmark passes a directory."""
     if cache_dir is None:
-        return cached_table(dims), "computed"
+        return cached_table(dims)
     path = cache_dir / f"coeff_a{dims.a}_b{dims.b}.txt"
     if path.exists():
         try:
             table = load_table(path)
             if table.dims != dims:
                 raise CacheFormatError(f"{path}: holds a={table.dims.a} b={table.dims.b}")
-            return table, "cached"
+            return table
         except CacheFormatError as exc:
             print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
     table = extract_coefficients(dims)
     cache_dir.mkdir(parents=True, exist_ok=True)
     save_table(table, path)
-    return table, "computed"
+    return table
 
 
 @lru_cache(maxsize=None)
 def _hop(dims: WishartDims, cache_dir: Optional[Path]) -> HopCDF:
     """A hop's CDF, read and prepared once per process per dims and cache directory."""
-    return hop_cdf(load_or_compute_table(dims, cache_dir)[0])
+    return hop_cdf(load_or_compute_table(dims, cache_dir))
 
 
 def _analysis_dims(antenna: AntennaConfig, fault: Optional[str]) -> tuple[WishartDims, WishartDims]:
@@ -247,7 +247,7 @@ class DiversityCheck:
     """Exact high-SNR law of a run; ``str`` gives its ``fdrelay diversity`` line."""
 
     predicted: int  # outage.diversity_order: the paper's formula
-    hop_orders: Tuple[Optional[int], Optional[int]]  # (sr, rd): first j <= ab with t_j != 0
+    hop_orders: Tuple[int, int]  # (sr, rd): each hop's j0, its first j with t_j != 0
     coding_gain_db: Optional[float]  # if ok: outage ~ (G_c * gammabar) ** -predicted
     ok: bool
 
@@ -257,22 +257,23 @@ class DiversityCheck:
                 f"rd {self.hop_orders[1]}{gain} -> {'PASS' if self.ok else 'FAIL'}")
 
 
-def exact_diversity(run: RunConfig, cache_dir: Optional[Path] = None) -> DiversityCheck:
-    """Hop orders and coding gain from the exact CDF Taylor coefficients t_j.
-    An a x b hop's outage is t_ab x^ab + O(x^{ab+1}) at x = gamma_t / scale, so with d
-    the smaller ab, outage ~ (G_c gammabar)^-d where G_c^-d sums t_ab (gamma_t / unit
-    scale)^d over the hops of order d, exactly: at 9x9 its float terms can underflow."""
+def exact_diversity(run: RunConfig) -> DiversityCheck:
+    """Hop orders and coding gain from each prepared hop's exact t_j0.  An a x b
+    hop's outage is t_ab x^ab + O(x^{ab+1}) at x = gamma_t / scale, so with d the
+    smaller ab, outage ~ (G_c gammabar)^-d where G_c^-d sums t_ab (gamma_t / unit
+    scale)^d over the hops of order d, exactly: at 9x9 its float terms can underflow.
+    G_c is +inf dB at gamma_t = 0, where the outage is 0 at every SNR."""
     hops = []
     for link, unit in zip(("sr", "rd"), run.unit_scales()):
         dims = link_dims(run.antenna, link)
-        ab = dims.a * dims.b
-        t = cdf_taylor(load_or_compute_table(dims, cache_dir)[0], ab)
-        hops.append((ab, next((j for j, c in enumerate(t) if c), None), t[ab], unit))
+        hop = _hop(dims, None)
+        hops.append((dims.a * dims.b, hop.j0, hop.t_j0, unit))
     d, predicted = min(ab for ab, _, _, _ in hops), diversity_order(run.antenna)
     ok = d == predicted and all(o == ab and t > 0 for ab, o, t, _ in hops)
     gain_db = None
     if ok:
         gamma_t = Fraction(run.query.gamma_t)
         s = sum(t * (gamma_t / Fraction(unit)) ** d for ab, _, t, unit in hops if ab == d)
-        gain_db = 10.0 * (math.log(s.denominator) - math.log(s.numerator)) / (d * math.log(10.0))
+        gain_db = (10.0 * (math.log(s.denominator) - math.log(s.numerator)) / (d * math.log(10.0))
+                   if s else math.inf)
     return DiversityCheck(predicted, tuple(o for _, o, _, _ in hops), gain_db, ok)

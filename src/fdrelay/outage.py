@@ -211,6 +211,7 @@ class HopCDF:
     rate: int  # a, the highest decay index n
     log_size: float  # log sum |c[n, l]|
     j0: int  # the first nonzero Taylor coefficient
+    t_j0: Fraction  # its exact value, or 0 if t_j is 0 up to ab + TAYLOR_TERMS
     #: per X = 2^m: (G, (t_j for j = j0 + N - 1 down to j0)), or None
     series: Tuple[Optional[Tuple[float, Tuple[float, ...]]], ...]
     series_first: float = 0.0  # below this x the series goes before Horner
@@ -271,7 +272,8 @@ def hop_cdf(table: CoeffTable) -> HopCDF:
         series.append(count and (tails[count - 1], tuple(reversed(taylor[:count]))))
     c00 = sum(table.entries.values(), Fraction(0))
     log_size = math.log(math.fsum(abs(c) for _, _, cs in polys for c in cs) or 1.0)
-    hop = HopCDF(c00, float(c00), tuple(polys), deg, rate, log_size, j0, tuple(series))
+    t_j0 = exact[j0] if j0 < len(exact) else Fraction(0)
+    hop = HopCDF(c00, float(c00), tuple(polys), deg, rate, log_size, j0, t_j0, tuple(series))
     for m in range(SERIES_EXP_MIN, SERIES_EXP_MAX + 1):
         f, err, _ = _horner(hop, 2.0 ** m)
         if err <= HOP_RTOL * f:

@@ -14,7 +14,7 @@ denominator per decay index; there is no fitting and no floating point, and
 each weight is the one ``Fraction`` built for it.
 
 The weight table is the single data object the closed-form outage
-expressions consume, so it also carries a lossless text cache format.
+expressions consume; ``save_table`` keeps it as lossless text for the benchmark.
 """
 
 from __future__ import annotations

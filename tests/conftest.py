@@ -4,7 +4,7 @@ from pathlib import Path
 import hypothesis
 import pytest
 
-from fdrelay import curves
+from fdrelay import curves, wishart
 
 # Exact-rational arithmetic and batched numpy calls have uneven per-example
 # cost; wall-clock deadlines only produce flaky failures here.
@@ -18,6 +18,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("P
 
 
 @pytest.fixture(autouse=True)
-def _fresh_hop_memo():
-    """Each test starts with no prepared hops, so none depends on test order."""
+def _fresh_memos():
+    """Each test starts with no tables and no prepared hops in memory, so none
+    depends on test order."""
+    wishart.cached_table.cache_clear()
     curves._hop.cache_clear()

@@ -156,56 +156,63 @@ def test_parse_missing_file():
 # -- coeffs subcommand -----------------------------------------------------------
 
 
-def test_coeffs_writes_cache_and_reports_sum(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    assert main(["coeffs", "2x2", "2x3", "--cache-dir", str(cache)]) == 0
-    out = capsys.readouterr().out
-    assert out.count("sum = 1") == 2
-    assert (cache / "coeff_a2_b2.txt").exists()
-    assert (cache / "coeff_a2_b3.txt").exists()
-    # second invocation hits the cache
-    assert main(["coeffs", "2x2", "--cache-dir", str(cache)]) == 0
-    assert "cached" in capsys.readouterr().out
+def test_coeffs_reports_the_exact_sum_and_entry_count(capsys):
+    assert main(["coeffs", "2x2", "2x3"]) == 0
+    assert capsys.readouterr().out == ("a=2 b=2: sum = 1 (4 entries)\n"
+                                       "a=2 b=3: sum = 1 (5 entries)\n")
 
 
-def test_coeffs_exits_1_on_a_failed_exact_division(tmp_path, capsys, monkeypatch):
+def test_coeffs_exits_1_on_a_failed_exact_division(capsys, monkeypatch):
     def refuse(matrix):
         raise InexactDivisionError("quotient does not fit slots of 9 bits")
 
     monkeypatch.setattr(wishart, "determinant", refuse)
-    assert main(["coeffs", "2x3", "--cache-dir", str(tmp_path)]) == 1
+    assert main(["coeffs", "2x3"]) == 1
     err = capsys.readouterr().err
     assert "fdrelay: quotient does not fit slots of 9 bits" in err
     assert "Traceback" not in err
 
 
-def test_coeffs_rejects_degenerate_dims(tmp_path, capsys):
-    assert main(["coeffs", "0x2", "--cache-dir", str(tmp_path)]) == 2
+def test_coeffs_rejects_degenerate_dims(capsys):
+    assert main(["coeffs", "0x2"]) == 2
+    assert "bad dims '0x2': min dimension must be >= 1" in capsys.readouterr().err
 
 
-def test_coeffs_accepts_an_upper_case_separator(tmp_path, capsys):
-    assert main(["coeffs", "2X3", "--cache-dir", str(tmp_path)]) == 0
+def test_coeffs_accepts_an_upper_case_separator(capsys):
+    assert main(["coeffs", "2X3"]) == 0
     assert "a=2 b=3: sum = 1" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("dims", ["9x2", "2x1000000000000000000000"])
-def test_coeffs_rejects_dims_above_the_antenna_bound(tmp_path, capsys, dims):
-    assert main(["coeffs", dims, "--cache-dir", str(tmp_path)]) == 2
+def test_coeffs_rejects_dims_above_the_antenna_bound(capsys, dims):
+    assert main(["coeffs", dims]) == 2
     err = capsys.readouterr().err
     assert f"bad dims {dims!r}: each dim must be at most 8" in err
     assert "Traceback" not in err
-    assert not list(tmp_path.iterdir())
 
 
-def test_coeffs_requires_cache_dir(monkeypatch, capsys):
+def test_coeffs_needs_no_cache_dir(monkeypatch, capsys):
     monkeypatch.delenv("FDRELAY_CACHE_DIR", raising=False)
-    assert main(["coeffs", "2x2"]) == 2
+    assert main(["coeffs", "2x2"]) == 0
 
 
-def test_coeffs_cache_dir_from_environment(tmp_path, monkeypatch):
+def test_no_command_writes_under_the_old_cache_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FDRELAY_CACHE_DIR", str(tmp_path / "envcache"))
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
     assert main(["coeffs", "1x2"]) == 0
-    assert (tmp_path / "envcache" / "coeff_a1_b2.txt").exists()
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["diversity", "--config", str(cfg)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+
+
+@pytest.mark.parametrize("command", ["coeffs", "sweep", "compare", "diversity"])
+def test_cache_dir_flag_is_refused(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    args = ["2x2"] if command == "coeffs" else ["--config", str(write_config(tmp_path))]
+    assert main([command, *args, "--cache-dir", "d"]) == 2
+    assert "unrecognized arguments: --cache-dir d" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists() and not (tmp_path / "out.csv").exists()
 
 
 def test_usage_error_exit_code():
@@ -466,10 +473,13 @@ def test_parse_accepts_most_trials(tmp_path):
     assert parse_run_config(write_config(tmp_path, trials=2 ** 32)).trials == curves.MAX_TRIALS
 
 
+# -- the library's disk cache, which the benchmark's sweeps fill ------------------
+
+
 def test_sweep_uses_cache_dir(tmp_path):
-    cfg = write_config(tmp_path)
+    run = parse_run_config(write_config(tmp_path))
     cache = tmp_path / "cache"
-    assert main(["sweep", "--config", str(cfg), "--cache-dir", str(cache)]) == 0
+    build_curve(run, cache)
     assert (cache / "coeff_a2_b2.txt").exists()
     assert (cache / "coeff_a1_b2.txt").exists()
 
@@ -478,10 +488,12 @@ def test_sweep_replaces_a_cached_table_of_other_dims(tmp_path, capsys):
     # a well-formed table of 2x4 under the 2x3 name is as unusable as a
     # corrupt file: warn, recompute, rewrite
     cache = tmp_path / "cache"
-    assert main(["coeffs", "2x3", "2x4", "--cache-dir", str(cache)]) == 0
+    for dims in (WishartDims(2, 3), WishartDims(2, 4)):
+        curves.load_or_compute_table(dims, cache)
     (cache / "coeff_a2_b4.txt").replace(cache / "coeff_a2_b3.txt")
-    cfg = write_config(tmp_path, n_s=3, n_r1=3, grid_start_db=10, grid_stop_db=10)
-    assert main(["sweep", "--config", str(cfg), "--cache-dir", str(cache)]) == 0
+    run = parse_run_config(write_config(tmp_path, n_s=3, n_r1=3, grid_start_db=10,
+                                        grid_stop_db=10))
+    write_csv(build_curve(run, cache), run.out_csv)
     _, rows = read_csv(tmp_path / "out.csv")
     assert float(rows[0][1]) == pytest.approx(0.2658, abs=5e-5)  # the 2x4 table gives 0.2643
     assert "ignoring unreadable cache" in capsys.readouterr().err
@@ -501,7 +513,8 @@ def test_sweep_recomputes_an_unreadable_cached_table(tmp_path, capsys, content):
     cache = tmp_path / "cache"
     cache.mkdir()
     (cache / "coeff_a2_b2.txt").write_bytes(content)
-    assert main(["sweep", "--config", str(cfg), "--cache-dir", str(cache)]) == 0
+    run = parse_run_config(cfg)
+    write_csv(build_curve(run, cache), run.out_csv)
     assert (tmp_path / "out.csv").read_bytes() == expected
     err = capsys.readouterr().err
     assert f"warning: ignoring unreadable cache {cache / 'coeff_a2_b2.txt'}" in err
@@ -689,9 +702,8 @@ def test_antenna_swap_comparison(tmp_path):
 
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-m", "fdrelay", "coeffs", "2x2",
-         "--cache-dir", str(tmp_path)],
-        capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "fdrelay", "coeffs", "2x2"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
     )
     assert result.returncode == 0
     assert "sum = 1" in result.stdout

@@ -25,7 +25,7 @@ config.write_text("n_s = 2\\nn_r1 = 3\\nn_r2 = 2\\nn_d = 2\\nmode = receive\\n"
                   "gamma_t_db = 10\\ngrid_start_db = 0\\ngrid_stop_db = 30\\n"
                   f"grid_step_db = 5\\ntrials = 0\\nout_csv = {tmp / 'sweep.csv'}\\n")
 for args in (["sweep", "--config", str(config)], ["diversity", "--config", str(config)],
-             ["coeffs", "2x3", "--cache-dir", str(tmp / "cache")]):
+             ["coeffs", "2x3"]):
     assert cli.main(args) == 0, args
 
 for script, args in (("outage_curves.py", ["--trials", "0", "--outdir", str(tmp / "out")]),

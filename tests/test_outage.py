@@ -465,3 +465,12 @@ def test_high_snr_slope_quick():
     assert check.coding_gain_db == pytest.approx(-5.0 * math.log10(50.0), rel=1e-12)
     p30, p40 = analytic_curve((2, 3, 2, 1), "receive", (30.0, 40.0))
     assert abs(p40 / 50e-8 - 1.0) < abs(p30 / 50e-6 - 1.0) < 1e-2
+
+
+def test_exact_diversity_at_a_zero_threshold():
+    # a threshold of 0 (10 ** (-4000 / 10) underflows to it) is in outage at no
+    # SNR: the orders are those of any threshold, and the coding gain is +inf dB
+    check = exact_diversity(make_run((2, 3, 2, 1), "receive", (), OutageQuery.snr(0.0)))
+    assert check.ok and check.predicted == 2 and check.hop_orders == (4, 2)
+    assert check.coding_gain_db == math.inf
+    assert str(check).endswith("coding gain +inf dB -> PASS")

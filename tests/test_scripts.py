@@ -91,3 +91,19 @@ def test_diversity_orders_script():
     result = run_script("diversity_orders.py")
     assert result.returncode == 0, result.stderr
     assert result.stdout == DIVERSITY_ORDERS_STDOUT
+
+
+@pytest.mark.parametrize("gamma_t_db", ["4000", "nan"])
+def test_diversity_orders_script_refuses_a_threshold_that_is_not_finite(gamma_t_db):
+    # 10 ** 400 overflows, and nan is no threshold: each ended in a traceback
+    result = run_script("diversity_orders.py", "--gamma-t-db", gamma_t_db)
+    assert result.returncode == 2
+    assert (f"--gamma-t-db {float(gamma_t_db)}: its linear threshold must be finite"
+            in result.stderr)
+    assert "Traceback" not in result.stderr
+
+
+def test_diversity_orders_script_at_a_threshold_that_underflows_to_zero():
+    result = run_script("diversity_orders.py", "--gamma-t-db=-4000")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("coding gain +inf dB -> PASS") == 10
