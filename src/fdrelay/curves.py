@@ -60,8 +60,9 @@ def db_grid(start_db: float, stop_db: float, step_db: float) -> Tuple[float, ...
     ``MAX_GRID_POINTS`` points."""
     if not (step_db > 0 and stop_db >= start_db):
         raise ValueError("need a grid step > 0 and a grid stop >= the grid start")
-    # min() keeps int() off the inf that a tiny step gives
-    count = int(round(min((stop_db - start_db) / step_db, MAX_GRID_POINTS))) + 1
+    # the count takes the filter's 1e-9 dB rule; min() keeps int() off the
+    # inf that a tiny step gives
+    count = int(min((stop_db - start_db + 1e-9) / step_db, MAX_GRID_POINTS)) + 1
     if count > MAX_GRID_POINTS:
         raise ValueError(f"the grid has more than {MAX_GRID_POINTS} points")
     return tuple(start_db + i * step_db for i in range(count)
@@ -98,7 +99,8 @@ class RunConfig:
 
     def __post_init__(self):
         """Raises ValueError for trials or a seed not an integer in range, for
-        a budget the asymmetry shorthand does not allow, for a power or
+        a budget the asymmetry shorthand does not allow (an asymmetric one
+        leaves both alphas at 1.0), for a power or
         amplitude not > 0, or for a hop scale not finite and > 0 at an end
         of the grid or, with no grid, at unit average SNR."""
         for name, value in (("trials", self.trials), ("seed", self.seed)):
@@ -119,6 +121,11 @@ class RunConfig:
                 raise ValueError("asymmetry_ratio needs asymmetry = sr_dominant or rd_dominant")
         elif self.asymmetry_ratio is None or not self.asymmetry_ratio > 1.0:
             raise ValueError("asymmetric budgets need asymmetry_ratio > 1")
+        else:
+            alphas = [n for n in ("alpha_sr", "alpha_rd") if getattr(self, n) != 1.0]
+            if alphas:
+                raise ValueError(f"asymmetry = {self.asymmetry} sets both alphas; "
+                                 f"drop {' and '.join(alphas)} or the asymmetry")
         for name in ("p_s", "p_r", "alpha_sr", "alpha_rd"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
@@ -141,8 +148,9 @@ class RunConfig:
     def resolved_alphas(self) -> Tuple[float, float]:
         """Path-loss amplitudes after applying the asymmetry shorthand.
 
-        The shorthand overrides explicit alphas: the dominant hop gets
-        amplitude sqrt(ratio) so the effective power ratio equals ratio.
+        The shorthand sets both alphas, which it requires to be left at 1.0:
+        the dominant hop gets amplitude sqrt(ratio) so the effective power
+        ratio equals ratio.
         """
         if self.asymmetry == "sr_dominant":
             return math.sqrt(self.asymmetry_ratio), 1.0

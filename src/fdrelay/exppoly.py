@@ -16,21 +16,20 @@ Determinants run on packed integers (Kronecker substitution): the
 x-polynomial at each decay index k becomes one Python int, its value at
 x = 2**W, so that multiplying two polynomials takes a handful of
 big-integer products.  Every packed quotient is checked to fit its slots,
-so the packing is exact whatever W; rigorous coefficient bounds make sure
-that a width which fails the check is retried wide enough to pass it.
+so the packing is exact whatever W, or raises; each elimination step packs
+at one width, just above its update's coefficient bound.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 Slices = dict[int, list[int]]  # k -> integer coefficients of x**0, x**1, ...
 Packed = dict[int, int]  # k -> that x-polynomial's value at x = 2**W
 
-#: Bits above the update's own bound at which each elimination step starts.
-#: The quotient check decides whether they suffice; up to 9x9 Kang-Alouini
-#: matrices they always do.
+#: Bits above the update's own bound at which each elimination step packs.
+#: The quotient check decides whether they suffice; for every table up to
+#: MAX_ANTENNAS they do (test_every_table_extracts_at_one_width_per_step).
 _SLACK_BITS = 8
 
 
@@ -168,21 +167,6 @@ def _canonical(poly: Slices) -> Slices:
     return out
 
 
-def _eliminate(rows: list[list[Slices]], prev: Slices, prev_max: int, bound: int,
-               w: int) -> list[list[tuple[Slices, tuple[int, int]]]]:
-    """One Bareiss step at slot width ``w``: ``(a_ij * piv - a_i0 * a_0j) / prev``
-    with its norms, for the rows and columns after the first; ``rows[0][0]``
-    is the pivot and ``bound`` bounds every update's coefficients."""
-    packed = [[_pack(e, w) for e in row] for row in rows]
-    den = _pack(prev, w)
-    piv, pivot_row = packed[0][0], packed[0]
-    return [
-        [_quotient(_product(row[0], pivot_row[j], _product(row[j], piv), -1),
-                   bound, den, prev_max, w) for j in range(1, len(row))]
-        for row in packed[1:]
-    ]
-
-
 def determinant(matrix: Sequence[Sequence[Slices]]) -> Slices:
     """Exact determinant of a square matrix of integer exponential polynomials.
 
@@ -190,17 +174,12 @@ def determinant(matrix: Sequence[Sequence[Slices]]) -> Slices:
     update ``a_ij * piv - a_ip * a_pj`` divides exactly by the previous pivot
     (Sylvester's identity).  Every step packs its entries at one slot width
     W, so that each update is a few big-integer products and the division is
-    long division over the decay index (``_divide``).  ``_quotient`` checks
-    that both sides of each division fit W, so no width returns a wrong
-    determinant; a width too narrow raises InexactDivisionError.
-
-    A step first tries the width of the update's bound, at most
-    L1(a_ij) * max|piv| + L1(a_ip) * max|a_pj| (and of the previous pivot),
-    plus ``_SLACK_BITS``.  Only if a quotient does not fit does it
-    redo the step at the width that provably holds the quotient times the
-    pivot too: the quotient is a minor of the matrix, so its L1 norm is at
-    most the product of its rows' L1 sums (Hadamard).  The result is
-    canonical: no zero slices and no trailing zeros; zero is ``{}``.
+    long division over the decay index (``_divide``).  W is the width of the
+    update's bound, at most L1(a_ij) * max|piv| + L1(a_ip) * max|a_pj| (and
+    of the previous pivot), plus ``_SLACK_BITS``.  ``_quotient`` checks that
+    both sides of each division fit W, so no width returns a wrong
+    determinant; a width too narrow raises InexactDivisionError.  The result
+    is canonical: no zero slices and no trailing zeros; zero is ``{}``.
     """
     n = len(matrix)
     if n == 0:
@@ -209,8 +188,6 @@ def determinant(matrix: Sequence[Sequence[Slices]]) -> Slices:
         raise ValueError("matrix is not square")
     a = [[_canonical(e) for e in row] for row in matrix]
     norms = [[_norms(e) for e in row] for row in a]
-    # at least 1 each, so that the width also holds the previous pivot
-    row_l1 = [max(1, sum(l1 for l1, _ in row)) for row in norms]
     sign = 1
     prev: Slices = {0: [1]}
     prev_max = 1
@@ -219,7 +196,7 @@ def determinant(matrix: Sequence[Sequence[Slices]]) -> Slices:
         if pivot_row is None:
             return {}
         if pivot_row != p:
-            for rows in (a, norms, row_l1):
+            for rows in (a, norms):
                 rows[p], rows[pivot_row] = rows[pivot_row], rows[p]
             sign = -sign
         piv_max = norms[p][p][1]
@@ -227,19 +204,14 @@ def determinant(matrix: Sequence[Sequence[Slices]]) -> Slices:
             norms[i][j][0] * piv_max + norms[i][p][0] * norms[p][j][1]
             for i in range(p + 1, n) for j in range(p + 1, n)
         )
-        minor_l1 = math.prod(row_l1[:p + 1]) * max(row_l1[p + 1:])
-        wide = _slot_width(max(cross_bound, minor_l1 * prev_max))
-        narrow = _slot_width(max(cross_bound, prev_max)) + _SLACK_BITS
-        rows = [row[p:] for row in a[p:]]
-        try:
-            update = _eliminate(rows, prev, prev_max, cross_bound, min(narrow, wide))
-        except InexactDivisionError:
-            if narrow >= wide:
-                raise
-            update = _eliminate(rows, prev, prev_max, cross_bound, wide)
-        for i, row in enumerate(update, p + 1):
-            for j, (quot, quot_norms) in enumerate(row, p + 1):
-                a[i][j], norms[i][j] = quot, quot_norms
+        w = _slot_width(max(cross_bound, prev_max)) + _SLACK_BITS
+        packed = [[_pack(e, w) for e in row[p:]] for row in a[p:]]
+        den = _pack(prev, w)
+        piv, pivot_packed = packed[0][0], packed[0]
+        for i, row in enumerate(packed[1:], p + 1):
+            for j in range(1, n - p):
+                num = _product(row[0], pivot_packed[j], _product(row[j], piv), -1)
+                a[i][p + j], norms[i][p + j] = _quotient(num, cross_bound, den, prev_max, w)
         prev, prev_max = a[p][p], piv_max
     det = a[n - 1][n - 1]
     return det if sign > 0 else {k: [-c for c in coeffs] for k, coeffs in det.items()}

@@ -156,9 +156,9 @@ def link_gain_samples(config: AntennaConfig, trials: int, seed: int,
 
     A point is a pair of hop scales (effective power times average SNR)
     from ``scales_sr`` and ``scales_rd``; a trial is in outage there when
-    ``zf.outage_from_gains`` says so.  Returns ``(failures,)``, a tuple that
-    further per-point sums can join: one int64 count per point,
-    deterministic in (config, trials, seed), whatever the CPU count.  Each
+    ``zf.outage_from_gains`` says so.  Returns ``(failures,)``: one int64
+    count per point, deterministic in (config, trials, seed), whatever the
+    CPU count; it stays a tuple because ``bench/run.py`` reads one.  Each
     block's unit-scale gains are drawn, thresholded and dropped in the
     process that drew them.
     """

@@ -464,8 +464,11 @@ def test_sweep_rejects_oversized_grid(tmp_path, capsys, stop, step):
 
 
 def test_parse_accepts_largest_grid(tmp_path):
-    cfg = parse_run_config(write_config(tmp_path, grid_stop_db=99.99, grid_step_db=0.01))
-    assert len(cfg.grid_db) == curves.MAX_GRID_POINTS
+    # 0 to 99.99 either way: 99.996 is not a whole number of steps
+    for stop in (99.99, 99.996):
+        cfg = parse_run_config(write_config(tmp_path, grid_stop_db=stop, grid_step_db=0.01))
+        assert len(cfg.grid_db) == curves.MAX_GRID_POINTS
+        assert cfg.grid_db[-1] == pytest.approx(99.99)
 
 
 def test_parse_accepts_most_trials(tmp_path):

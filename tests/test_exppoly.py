@@ -15,6 +15,7 @@ from exppoly_eval import evaluate
 from fdrelay import exppoly
 from exppoly_ref import ExpPoly, det, gram_entries, lower_gamma_poly, slices
 from fdrelay.exppoly import InexactDivisionError, _divide, _pack, _quotient, determinant
+from fdrelay.outage import MAX_ANTENNAS
 from fdrelay.wishart import extract_coefficients, WishartDims
 from mixture import mixture_density
 
@@ -282,27 +283,12 @@ def test_too_narrow_slots_raise_and_never_give_a_wrong_determinant(monkeypatch):
     assert raised == {"division", "quotient"}
 
 
-def test_refused_narrow_width_redoes_the_step_at_the_hadamard_width(monkeypatch):
-    # the last step divides (1 + y)^2 s by the pivot 1 + y, where y = e^-x and
-    # s = 1 + y + ... + y^4095: the update's bound is 4, but the quotient
-    # (1 + y) s has an L1 norm of 8192, which no slot of the narrow width holds
-    s = ExpPoly({(k, 0): 1 for k in range(4096)})
-    m = [[ep({(0, 0): 1, (1, 0): 1}), ZERO, ZERO], [ZERO, s, ZERO], [ZERO, ZERO, ONE]]
-    real_quotient, widths = exppoly._quotient, []
-
-    def quotient(num, num_bound, den, den_max, w):
-        try:
-            result = real_quotient(num, num_bound, den, den_max, w)
-        except InexactDivisionError:
-            widths.append((w, "refused"))
-            raise
-        widths.append((w, "ok"))
-        return result
-
-    monkeypatch.setattr(exppoly, "_quotient", quotient)
-    assert det(m) == det_cofactor(m)
-    narrow = exppoly._slot_width(4) + exppoly._SLACK_BITS
-    assert widths[-2:] == [(narrow, "refused"), (exppoly._slot_width(8192), "ok")]
+def test_every_table_extracts_at_one_width_per_step():
+    # each elimination step packs at one width with no retry, so a width too
+    # narrow for any table the program can build raises InexactDivisionError
+    for a in range(1, MAX_ANTENNAS + 1):
+        for b in range(a, MAX_ANTENNAS + 1):
+            assert extract_coefficients(WishartDims(a, b)).total() == 1, (a, b)
 
 
 # -- ring axioms ---------------------------------------------------------------------

@@ -95,6 +95,8 @@ def test_run_config_unit_scales():
     ({"trials": 10.5}, "trials must be an integer, got 10.5"),
     ({"trials": 10.0}, "trials must be an integer, got 10.0"),
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"asymmetry": "sr_dominant", "ratio": 1.5, "alphas": (3.0, 0.5)},
+     "asymmetry = sr_dominant sets both alphas; drop alpha_sr and alpha_rd or the asymmetry"),
 ])
 def test_run_config_checks_its_ranges(kwargs, message):
     args = {"grid_db": (0.0, 30.0)} | kwargs
@@ -120,7 +122,11 @@ budget_values = st.one_of(st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-200
                           st.floats(1e-3, 1e3))
 
 
-@given(p_s=budget_values, p_r=budget_values, alpha_sr=budget_values, alpha_rd=budget_values,
+#: Amplitudes: the budget values, and 1.0, which an asymmetric budget needs.
+alpha_values = st.one_of(st.just(1.0), budget_values)
+
+
+@given(p_s=budget_values, p_r=budget_values, alpha_sr=alpha_values, alpha_rd=alpha_values,
        asymmetry=st.sampled_from(["symmetric", "sr_dominant", "rd_dominant", "sr-dominant"]),
        ratio=st.one_of(st.none(), budget_values),
        grid=st.lists(st.floats(-400, 400), max_size=3).map(lambda g: tuple(sorted(g))))
@@ -140,6 +146,7 @@ def test_run_config_builds_only_usable_runs(p_s, p_r, alpha_sr, alpha_rd, asymme
         assert ratio is None and run.resolved_alphas() == (alpha_sr, alpha_rd)
     else:
         assert asymmetry in ("sr_dominant", "rd_dominant") and ratio > 1.0
+        assert (alpha_sr, alpha_rd) == (1.0, 1.0)
         dominant = (math.sqrt(ratio), 1.0)
         assert run.resolved_alphas() == (dominant if asymmetry == "sr_dominant"
                                          else dominant[::-1])
