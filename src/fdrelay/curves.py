@@ -255,7 +255,7 @@ class DiversityCheck:
     """Exact high-SNR law of a run; ``str`` gives its ``fdrelay diversity`` line."""
 
     predicted: int  # outage.diversity_order: the paper's formula
-    hop_orders: Tuple[int, int]  # (sr, rd): each hop's j0, its first j with t_j != 0
+    hop_orders: Tuple[int, int]  # (sr, rd): each hop's j0 = ab, its order at 0
     coding_gain_db: Optional[float]  # if ok: outage ~ (G_c * gammabar) ** -predicted
     ok: bool
 
@@ -266,22 +266,23 @@ class DiversityCheck:
 
 
 def exact_diversity(run: RunConfig) -> DiversityCheck:
-    """Hop orders and coding gain from each prepared hop's exact t_j0.  An a x b
-    hop's outage is t_ab x^ab + O(x^{ab+1}) at x = gamma_t / scale, so with d the
-    smaller ab, outage ~ (G_c gammabar)^-d where G_c^-d sums t_ab (gamma_t / unit
-    scale)^d over the hops of order d, exactly: at 9x9 its float terms can underflow.
+    """Hop orders and coding gain from each prepared hop: its order j0 = ab and
+    its exact leading coefficient t_j0 = g_ab = t_ab, which ``hop_cdf`` checks
+    (g_j is 0 below ab and t_ab > 0).  An a x b hop's outage is
+    t_ab x^ab + O(x^{ab+1}) at x = gamma_t / scale, so with d the smaller ab,
+    outage ~ (G_c gammabar)^-d where G_c^-d sums t_ab (gamma_t / unit scale)^d
+    over the hops of order d, exactly: at 9x9 its float terms can underflow.
     G_c is +inf dB at gamma_t = 0, where the outage is 0 at every SNR."""
     hops = []
     for link, unit in zip(("sr", "rd"), run.unit_scales()):
-        dims = link_dims(run.antenna, link)
-        hop = _hop(dims, None)
-        hops.append((dims.a * dims.b, hop.j0, hop.t_j0, unit))
-    d, predicted = min(ab for ab, _, _, _ in hops), diversity_order(run.antenna)
-    ok = d == predicted and all(o == ab and t > 0 for ab, o, t, _ in hops)
+        hop = _hop(link_dims(run.antenna, link), None)
+        hops.append((hop.j0, hop.t_j0, unit))
+    d, predicted = min(o for o, _, _ in hops), diversity_order(run.antenna)
+    ok = d == predicted
     gain_db = None
     if ok:
         gamma_t = Fraction(run.query.gamma_t)
-        s = sum(t * (gamma_t / Fraction(unit)) ** d for ab, _, t, unit in hops if ab == d)
+        s = sum(t * (gamma_t / Fraction(unit)) ** d for o, t, unit in hops if o == d)
         gain_db = (10.0 * (math.log(s.denominator) - math.log(s.numerator)) / (d * math.log(10.0))
                    if s else math.inf)
-    return DiversityCheck(predicted, tuple(o for _, o, _, _ in hops), gain_db, ok)
+    return DiversityCheck(predicted, tuple(o for o, _, _ in hops), gain_db, ok)

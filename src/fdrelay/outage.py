@@ -5,35 +5,28 @@ A decode-and-forward relay fails end to end when either hop fails, so
 at threshold g is the CDF of its scaled largest eigenvalue at x = g / scale,
 where ``scale`` is the product of effective transmit power and average
 link SNR (the two only ever enter as a product).  The CDF is an exact
-exponential polynomial, which ``hop_cdf`` reads in one step off the
-mixture weights of a ``wishart`` table:
+exponential polynomial, which ``hop_cdf`` reads off a ``wishart`` table:
 
     F(x) = c00 + sum_n e^{-n x} sum_l c[n, l] x^l,
     c00 = sum w,  c[n, l] = -(n^l / l!) sum_{m >= l} w[n, m].
 
-Its terms are O(1) while F falls like x^(ab) at small x, so no single float
-sum holds everywhere.  Each point takes the first of three branches that
-proves a relative error of at most HOP_RTOL = 1e-12:
-
-* Horner: the float polynomial, one pass per decay index on one exp(-x)
-  and its powers, with Higham's running error bound;
-* Taylor: the float series sum t_j x^j at 0, from the exact coefficients of
-  ``wishart.cdf_taylor`` and starting at the first nonzero one, with the
-  same kind of bound plus a bound on the terms left out;
-* ``decimal``: the exact coefficients in decimal arithmetic, at 25 digits
-  plus the measured cancellation, doubled until its own bound holds.
-
-Which float branch goes first depends on x and the table alone, so a point
-has the same value in any curve.  Below the double range the value is
-returned rounded, to a subnormal or to 0.0, and is not an error.  The
-module keeps no state (``curves`` keeps each prepared hop); its functions
-are pure and operate in linear SNR units, and dB conversions belong to
-``curves`` and ``cli``.
+Its terms are O(1) while F falls like x^(ab) at small x, so they cancel;
+the exact Taylor coefficients g_j of G = e^{ax} F = t_ab x^{ab} 1F1(a; a+b;
+x I_a) are >= 0, so their float sum does not. Each point takes one of two
+branches and raises unless it proves a relative error of HOP_RTOL = 1e-12:
+that series times e^{-ax} below a crossover X, and Horner on F from X on
+(the series again below 2X where Horner's bound fails).  The branch depends
+on x and the table alone, so a point has the same value in any curve.
+Below the double range the value is returned rounded, to a subnormal or to
+0.0, and is not an error.
+The module keeps no state (``curves`` keeps each prepared hop); its
+functions are pure and operate in linear SNR units, and dB conversions
+belong to ``curves`` and ``cli``.
 """
 
 from __future__ import annotations
 
-import decimal
+import itertools
 import math
 import operator
 import sys
@@ -41,9 +34,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import factorial
-from typing import Literal, Optional, Sequence, Tuple
+from typing import Iterator, Literal, Sequence, Tuple
 
-from .wishart import CoeffTable, WishartDims, cdf_taylor
+from .wishart import CoeffTable, NonzeroResidualError, WishartDims
 
 #: Probabilities may exceed [0, 1] by at most this much before we treat the
 #: excursion as a coefficient bug instead of roundoff.
@@ -56,7 +49,8 @@ Link = Literal["sr", "rd"]
 
 
 class InvalidProbabilityError(ArithmeticError):
-    """A computed probability left [0, 1] by more than roundoff slack."""
+    """A computed probability left [0, 1] by more than roundoff slack, or no
+    branch proved it to HOP_RTOL."""
 
 
 class ZFMode(Enum):
@@ -144,9 +138,9 @@ def link_outage(hop: HopCDF, scales: Sequence[float], gamma_t: float) -> list[fl
     at x = gamma_t / scale.
 
     Each point is evaluated on its own, so a curve gives bit for bit the
-    values of one call per point. It takes the first branch whose error
-    bound is at most HOP_RTOL * F: the float Taylor series at 0 and the
-    float polynomial by Horner, in an order set by x alone, then ``decimal``.
+    values of one call per point: by the positive series below the hop's
+    crossover X, by Horner from X on, and by the series again below 2X where
+    Horner's bound fails. A point that neither proves raises.
     """
     if not gamma_t >= 0:
         raise ValueError("gamma_t must be non-negative")
@@ -160,24 +154,12 @@ def link_outage(hop: HopCDF, scales: Sequence[float], gamma_t: float) -> list[fl
         if x == 0.0:  # gamma_t is 0, or gamma_t / scale underflowed
             outages.append(0.0)
             continue
-        taylor = _taylor(hop, x) if x < hop.series_first else None
-        if taylor is not None and taylor[1] <= HOP_RTOL * taylor[0]:
-            value = taylor[0]
-        else:
-            horner = _horner(hop, x)
-            value = horner[0]
-            if not horner[1] <= HOP_RTOL * value:
-                if x >= hop.series_first:
-                    taylor = _taylor(hop, x)
-                if taylor is not None and taylor[1] <= HOP_RTOL * taylor[0]:
-                    value = taylor[0]
-                else:
-                    # the F of the float branch with the lesser relative bound sets the precision
-                    estimate = min(((err / f, f) for f, err, *_ in filter(None, (taylor, horner))
-                                    if 0 < f and err < f), default=(0.0, 0.0))[1]
-                    value = _decimal(hop, x, horner[2], estimate)
-        if not -PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK:
-            raise InvalidProbabilityError(f"link outage = {value!r} is outside [0, 1]")
+        value, rel = _series(hop, x) if x < hop.crossover else _horner(hop, x)
+        if not rel <= HOP_RTOL and hop.crossover <= x < 2.0 * hop.crossover:
+            value, rel = _series(hop, x)
+        if not (-PROBABILITY_SLACK <= value <= 1.0 + PROBABILITY_SLACK and rel <= HOP_RTOL):
+            raise InvalidProbabilityError(f"link outage = {value!r} is outside [0, 1] or "
+                                          f"its bound {rel!r} is above {HOP_RTOL}")
         outages.append(0.0 if value < 0.0 else 1.0 if value > 1.0 else value)
     return outages
 
@@ -186,128 +168,150 @@ def link_outage(hop: HopCDF, scales: Sequence[float], gamma_t: float) -> list[fl
 
 #: Relative error each branch of the hop CDF must prove before it is used.
 HOP_RTOL = 1e-12
-#: Taylor coefficients kept past a * b, which is where they start for a
-#: valid table.
-TAYLOR_TERMS = 80
-#: The Taylor series is set up at X = 2^m for these m; x takes the terms
-#: set up at the least X > x, smaller x those of the smallest X, and larger
-#: x leave the series to the other branches.
-SERIES_EXP_MIN, SERIES_EXP_MAX = -24, 4
+#: log 2^-60: the series' rest is at most this share of its sum.
+_LOG_TAIL = -60 * math.log(2.0)
 _EPS = sys.float_info.epsilon
-#: log of 2**-1076, below half the smallest subnormal: a value below it rounds to 0.0.
-_LOG_UNDERFLOW = -1076 * math.log(2.0)
 
 
 @dataclass(frozen=True)
 class HopCDF:
-    """A table's CDF F(x) = c00 + sum_n e^{-nx} sum_l c[n, l] x^l, ready to
-    evaluate in each branch; see ``hop_cdf``."""
+    """A table's CDF F(x), ready to evaluate in each branch; see ``hop_cdf``."""
 
-    c00: Fraction
-    c00_float: float
-    #: (n - previous n, exact c[n, D_n..0], float c[n, D_n..0]), n ascending
-    polys: Tuple[Tuple[int, Tuple[Fraction, ...], Tuple[float, ...]], ...]
-    deg: int  # D, the highest power of x
-    rate: int  # a, the highest decay index n
-    log_size: float  # log sum |c[n, l]|
-    j0: int  # the first nonzero Taylor coefficient
-    t_j0: Fraction  # its exact value, or 0 if t_j is 0 up to ab + TAYLOR_TERMS
-    #: per X = 2^m: (G, (t_j for j = j0 + N - 1 down to j0)), or None
-    series: Tuple[Optional[Tuple[float, Tuple[float, ...]]], ...]
-    series_first: float = 0.0  # below this x the series goes before Horner
+    c00: float
+    polys: Tuple[Tuple[int, Tuple[float, ...]], ...]  # (n - previous n, c[n, D_n..0])
+    rate: int  # a, so that G = e^{ax} F
+    j0: int  # ab, the order of F and G at 0
+    t_j0: Fraction  # g_ab = t_ab, the exact leading coefficient
+    crossover: float = math.inf  # X
+    terms: Tuple[float, ...] = ()  # h_k = g_{ab+k} X^k, k = K down to 0
+    #: (first of ``terms`` to sum, bound on the rest) for x / X in [2^-i, 2^(1-i))
+    cuts: Tuple[Tuple[int, float], ...] = ()
 
 
 def hop_cdf(table: CoeffTable) -> HopCDF:
-    """Exact CDF coefficients from the weights, c00 = sum w and
-    c[n, j] = -(n^j / j!) sum_{m >= j} w[n, m], and their floats.
-
-    The Taylor coefficients t_j = sum c[n, l] (-n)^{j-l} / (j-l)! come
-    exactly from ``cdf_taylor``, as floats from the first nonzero one, j0,
-    up to K = ab + TAYLOR_TERMS or the first that is subnormal. At X = 2^m
-    the series keeps its first N terms, the fewest whose rest, at most
-    x^{j0+N} G with G = sum_{k >= j0+N} |t_k| X^{k-j0-N} for x <= X, is
-    below 2^-66 |t_j0| X^j0. Past K, |t_k| is at most
-    T_k = sum |c[n, l]| n^{k-l} / (k-l)!, whose ratios a X / (k-D) stay below
-    1/2 where 2 a X <= K + 2 - D, so those terms add at most 2 T_{K+1} X^{K+1}.
-    The series goes first below the least X at which Horner's bound holds.
+    """A table's CDF, ready for both branches: c[n, l] = q_l / (l! L) (see
+    ``growth_taylor``), and X the least power of two from 2^-16 (to 64) at
+    which Horner's bound holds. Raises ``NonzeroResidualError`` unless g_j is
+    0 below ab, positive at ab and not negative above. For a hop's table
+    g_{ab+k} <= t_ab a^k / k!, as (a)_kappa <= (a+b)_kappa, so below 2X the
+    rest past h_K is at most t_ab sum_{k>K} (2aX)^k / k!. K makes that at most
+    2^-60 of the sum at X, and each binade of x / X the same at its own ends.
     """
-    exact = cdf_taylor(table, table.dims.a * table.dims.b + TAYLOR_TERMS)
-    j0 = next((j for j, t in enumerate(exact) if t), len(exact))
-    taylor = []
-    for t in exact[j0:]:
-        if t and not abs(float(t)) >= sys.float_info.min:
-            break  # a subnormal coefficient would escape the error bound
-        taylor.append(float(t))
-    last = j0 + len(taylor) - 1
-    by_rate: dict[int, dict[int, Fraction]] = {}
-    for (n, m), w in table.entries.items():
-        if w:
-            by_rate.setdefault(n, {})[m] = w
-    polys, rest, prev = [], [], 0  # rest: the terms of T_{K+1}
-    for n in sorted(by_rate):
-        weights = by_rate[n]
-        tail, coeffs = Fraction(0), []
-        for j in range(max(weights), -1, -1):
-            tail += weights.get(j, 0)
-            coeffs.append(-tail * Fraction(n ** j, factorial(j)))
-        polys.append((n - prev, tuple(coeffs), tuple(float(c) for c in coeffs)))
-        rest += [abs(float(c)) * (n ** (last + 1 - l) / factorial(last + 1 - l))
-                 for l, c in enumerate(reversed(coeffs)) if l <= last + 1]
-        prev = n
-    deg = max((len(c) - 1 for _, c, _ in polys), default=0)
-    rate = max(prev, 1)
-    series = []
-    for m in range(SERIES_EXP_MIN, SERIES_EXP_MAX + 1):
-        x = 2.0 ** m
-        if not taylor or 2.0 * rate * x > last + 2 - deg:
-            series.append(None)
-            continue
-        g, tails = 2.0 * math.fsum(rest), []  # tails[i]: G past the first i + 1 terms
-        for t in reversed(taylor):
-            tails.append(g)
-            g = abs(t) + x * g
-        tails.reverse()
-        count = next((i + 1 for i, g in enumerate(tails)
-                      if g * x ** (i + 1) <= 2.0 ** -66 * abs(taylor[0])), None)
-        series.append(count and (tails[count - 1], tuple(reversed(taylor[:count]))))
-    c00 = sum(table.entries.values(), Fraction(0))
-    log_size = math.log(math.fsum(abs(c) for _, _, cs in polys for c in cs) or 1.0)
-    t_j0 = exact[j0] if j0 < len(exact) else Fraction(0)
-    hop = HopCDF(c00, float(c00), tuple(polys), deg, rate, log_size, j0, t_j0, tuple(series))
-    for m in range(SERIES_EXP_MIN, SERIES_EXP_MAX + 1):
-        f, err, _ = _horner(hop, 2.0 ** m)
-        if err <= HOP_RTOL * f:
-            return replace(hop, series_first=2.0 ** m)
-    return replace(hop, series_first=math.inf)
+    ab = table.dims.a * table.dims.b
+    lcm, c00, rate, exact = _integer_cdf(table)
+    polys = tuple((n - prev, tuple(q[l] / (lcm * factorial(l)) for l in reversed(range(len(q)))))
+                  for (prev, _), (n, q) in zip([(0, None)] + exact, exact))
+    hop = HopCDF(c00 / lcm, polys, rate, ab, Fraction(0))
+    m = next((m for m in range(-16, 6) if _horner(hop, 2.0 ** m)[1] <= HOP_RTOL), 6)
+    y, terms, total = 2.0 * rate * 2.0 ** m, [], 0.0  # y: the largest a x below 2X
+    for k, (num, den) in enumerate(growth_taylor(table), -ab):  # g_{ab+k}
+        if num < 0 or (k <= 0 and bool(num) != (k == 0)):
+            raise NonzeroResidualError(f"g_{ab + k} = {Fraction(num, den)} for {table.dims}: "
+                                       "not 0 below ab, > 0 at ab and >= 0 above")
+        if k == 0:
+            t_ab, log_t = Fraction(num, den), math.log(num) - math.log(den)
+        if k >= 0:
+            h = (num << m * k) / den if m >= 0 else num / (den << -m * k)
+            if 0 < h < sys.float_info.min:
+                break  # a subnormal coefficient would escape the error bound
+            terms.append(h)
+            total += h
+            if log_t + _log_rest(y, k) <= _LOG_TAIL + math.log(total):
+                break
+    cuts, count = [], len(terms) - 1
+    while not cuts or count:
+        u = 2.0 ** -len(cuts)
+        low = math.log(math.fsum(h * u ** k for k, h in enumerate(terms[:count + 1])))
+        while count and log_t + _log_rest(y * u, count - 1) <= _LOG_TAIL + low:
+            count -= 1
+        cuts.append((len(terms) - 1 - count,
+                     2.0 * math.exp(min(log_t + _log_rest(y * u, count), 709.0))))
+    return replace(hop, t_j0=t_ab, crossover=2.0 ** m, terms=tuple(reversed(terms)),
+                   cuts=tuple(cuts))
 
 
-def _horner(hop: HopCDF, x: float) -> Tuple[float, float, float]:
-    """(F, error bound, size) from the float polynomial: one Horner pass
+def growth_taylor(table: CoeffTable) -> Iterator[Tuple[int, int]]:
+    """(j! L g_j, j! L) for j = 0, 1, ...: the exact Taylor coefficients g_j
+    of G = e^{ax} F, with L the weights' common denominator: L c00 a^j plus,
+    for each n, the q_0 left after j steps of q_l <- q_{l+1} + (a - n) q_l.
+    For a hop's table G = t_ab x^{ab} 1F1(a; a+b; x I_a) (Herz 1955;
+    Muirhead 1982, 7.4), so g_j is 0 below ab, g_ab = t_ab > 0 and g_j >= 0.
+    """
+    den, power, rate, polys = _integer_cdf(table)
+    for j in itertools.count(1):
+        yield power + sum(q[0] for _, q in polys), den
+        for n, q in polys:
+            q[:] = [hi + (rate - n) * lo for lo, hi in zip(q, q[1:])] + [(rate - n) * q[-1]]
+        power *= rate
+        den *= j
+
+
+def _integer_cdf(table: CoeffTable) -> Tuple[int, int, int, list[Tuple[int, list[int]]]]:
+    """(L, L c00, a, [(n, [q_0, ..., q_D])] for n ascending) with L the
+    weights' common denominator, q_l = l! L c[n, l] = -L n^l sum_{m >= l} w[n, m]
+    and a the larger of the table's a and its highest decay index."""
+    lcm = math.lcm(*(w.denominator for w in table.entries.values()))
+    scaled = {k: w.numerator * (lcm // w.denominator) for k, w in table.entries.items() if w}
+    polys = []
+    for n in sorted({n for n, _ in scaled}):
+        top = max(m for r, m in scaled if r == n)
+        tails = itertools.accumulate(scaled.get((n, l), 0) for l in range(top, -1, -1))
+        polys.append((n, [-t * n ** l for l, t in enumerate(reversed(list(tails)))]))
+    return lcm, sum(scaled.values()), max([table.dims.a, *(n for n, _ in polys)]), polys
+
+
+def _log_rest(y: float, count: int) -> float:
+    """log of a bound on sum_{k > count} y^k / k!."""
+    return ((count + 1) * math.log(y) - math.lgamma(count + 2) - math.log1p(-y / (count + 2))
+            if count + 2 > y else math.inf)
+
+
+def _series(hop: HopCDF, x: float) -> Tuple[float, float]:
+    """(F, relative error bound) from the positive series: S = sum_k h_k u^k
+    at u = x / X by Horner, over the terms that u's binade needs, and then
+    F = S f^ab e^{-ax} 2^(e ab) with x = f 2^e. The product before 2^(e ab)
+    is normal, at least t_ab 2^-ab e^{-2aX}, so F is rounded once, at the end.
+
+    The terms are positive, so Higham's running error bound (as in
+    ``_horner``) is 2 eps mu with mu = sum (k+1) h_k u^k, rounded coefficients
+    and all; a step that underflows adds 2^-1074, and ``cuts`` bounds the
+    rest. f^ab, a x, e^{-ax} and two products add eps (4 + a x).
+    """
+    u = x / hop.crossover
+    first, rest = hop.cuts[min(1 - math.frexp(u)[1], len(hop.cuts) - 1)]
+    s = mu = 0.0
+    for h in hop.terms[first:]:
+        s = s * u + h
+        mu = mu * u + s
+    f, e = math.frexp(x)
+    value = math.ldexp(s * f ** hop.j0 * math.exp(-hop.rate * x), e * hop.j0)
+    bound = (2.0 * _EPS * mu + len(hop.terms) * 5e-324 + rest) / s + _EPS * (4.0 + hop.rate * x)
+    return value, 1.01 * bound
+
+
+def _horner(hop: HopCDF, x: float) -> Tuple[float, float]:
+    """(F, relative error bound) from the float polynomial: one Horner pass
     per decay index on one exp(-x) and its powers.
 
     The bound is Higham's running error bound for Horner's rule (Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., Alg. 5.1): a pass
-    through partial sums y_i has error at most u (2 mu - |y_0|) with
-    mu = sum |y_i| x^i, and the rounded coefficients add at most 4 u mu.
-    Each power of exp(-x) adds n + 1 rounding errors and each product
-    one, with u = eps / 2; ``size`` = |c00| + sum e^{-nx} mu_n bounds |F|,
-    and 4 size the sum of |terms|. Where e^{-nx} leaves the normal range,
-    so that x > 708 / n > 1, the terms from n on are dropped and their bound
-    e^{-nx} x^D sum |c| joins the error bound; up to 7x7 it underflows to 0.
+    and Stability of Numerical Algorithms, 2nd ed., Alg. 5.1), u (2 mu - |y_0|)
+    with mu = sum |y_i| x^i over the partial sums y_i, plus 4 u mu for the
+    rounded coefficients, with u = eps / 2. Each power of exp(-x) adds n + 1
+    rounding errors and each product one; size = |c00| + sum e^{-nx} mu_n.
+    Where e^{-nx} leaves the normal range, at x > 708 / n > 1, the terms from
+    n on are dropped and their bound e^{-nx} x^D sum |c| joins the error bound.
     """
-    e = math.exp(-x)
-    en = 1.0
-    parts = [hop.c00_float]
-    size = abs(hop.c00_float)
-    n = 0
-    dropped = 0.0
-    for gap, _, coeffs in hop.polys:
+    e, en, n = math.exp(-x), 1.0, 0
+    parts, size, dropped = [hop.c00], abs(hop.c00), 0.0
+    for gap, coeffs in hop.polys:
         n += gap
         for _ in range(gap):
             en *= e
         if en < sys.float_info.min:
             if x < math.inf:
-                dropped = math.exp(min(hop.deg * math.log(x) + hop.log_size - n * x, 700.0))
+                deg = max(len(cs) for _, cs in hop.polys) - 1
+                log_size = math.log(math.fsum(abs(c) for _, cs in hop.polys for c in cs))
+                dropped = math.exp(min(deg * math.log(x) + log_size - n * x, 700.0))
             break
         h = mu = 0.0
         for c in coeffs:
@@ -317,73 +321,8 @@ def _horner(hop: HopCDF, x: float) -> Tuple[float, float, float]:
         size += en * mu
     f = math.fsum(parts)
     if not f > 0:
-        return f, math.inf, size
-    return f, (hop.rate + 10) * _EPS * size + dropped, size
-
-
-def _taylor(hop: HopCDF, x: float) -> Optional[Tuple[float, float]]:
-    """(F, error bound) from the float Taylor series x^j0 sum_i t_{j0+i} x^i
-    by Horner over the terms set up for x, or None where there are none,
-    where the bound on the rest is not below 2^-56 of the sum, or where F
-    is subnormal. The running error bound is as in ``_horner``, plus the
-    rest, at most 2^-1074 for each step that underflows, x^j0 and the
-    product. Where 4 mu plus the rest, times x^j0, is below 2^-1076, F
-    rounds to 0.0."""
-    m = max(math.frexp(x)[1], SERIES_EXP_MIN)
-    series = hop.series[m - SERIES_EXP_MIN] if m <= SERIES_EXP_MAX else None
-    if series is None:
-        return None
-    g, terms = series
-    s = mu = 0.0
-    for t in terms:
-        s = s * x + t
-        mu = mu * x + abs(s)
-    tail = g * x ** len(terms)
-    if not tail <= 2.0 ** -56 * abs(s):
-        return None
-    xp = x ** hop.j0
-    f = s * xp
-    if f >= sys.float_info.min:
-        return f, (5 * _EPS * mu + tail + len(terms) * 5e-324) * xp
-    if math.log(4.0 * mu + tail) + hop.j0 * math.log(x) < _LOG_UNDERFLOW:
-        return 0.0, 0.0  # |F| rounds to 0.0
-    return None
-
-
-def _decimal(hop: HopCDF, x: float, size: float, estimate: float) -> float:
-    """F from the exact coefficients in ``decimal``.
-
-    The precision is 25 digits plus the cancellation digits
-    log10(size / F) that ``estimate`` of F gives, and doubles until the
-    error bound is below 1e-20 of F or, where F is below the double range,
-    below 1e-330. The bound takes 4 size from ``_horner`` for the sum of
-    |terms|. The coefficients are converted inside the working context.
-    """
-    factor = 2 * hop.deg + hop.rate + 4
-    size = max(4.0 * size, sys.float_info.min)
-    needed = 335 + max(0, math.ceil(math.log10(factor * size)))
-    cond = needed
-    if estimate > 0:
-        cond = max(0, math.ceil(math.log10(size / estimate)))
-    digits = 25 + min(cond, needed)
-    while True:
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits
-            ctx.traps[decimal.Underflow] = ctx.traps[decimal.Subnormal] = False
-            xd = decimal.Decimal(x)
-            e = (-xd).exp()
-            total = decimal.Decimal(hop.c00.numerator) / hop.c00.denominator
-            en = decimal.Decimal(1)
-            for gap, coeffs, _ in hop.polys:
-                en *= e ** gap
-                h = decimal.Decimal(0)
-                for c in coeffs:
-                    h = h * xd + decimal.Decimal(c.numerator) / c.denominator
-                total += en * h
-            err = decimal.Decimal(size) * factor * decimal.Decimal(10) ** (1 - digits)
-            if err <= abs(total) * decimal.Decimal("1e-20") or err <= decimal.Decimal("1e-330"):
-                return float(total)
-        digits *= 2
+        return f, math.inf
+    return f, ((hop.rate + 10) * _EPS * size + dropped) / f
 
 
 def diversity_order(config: AntennaConfig) -> int:

@@ -185,37 +185,6 @@ def extract_coefficients(dims: WishartDims) -> CoeffTable:
     return CoeffTable(dims=dims, norm_const=norm, entries=entries)
 
 
-def cdf_taylor(table: CoeffTable, order: int) -> list[Fraction]:
-    """Exact Taylor coefficients t_0..t_order at 0 of the CDF, the integral of
-    the density f = sum w[n, m] n^{m+1}/m! x^m e^{-n x}: t_0 = 0 and
-    t_j = [x^{j-1}] f / j.  They vanish below j = a*b, the hop's diversity
-    order.
-
-    Over the weights' common denominator L the sums are integers:
-    j! L t_j = sum_n n^j B[n, j-1] with B[n, k] = sum_m (-1)^(k-m) C(k, m) L w[n, m].
-    Pascal's rule steps each B from k to k + 1 with additions alone, and each
-    t_j is one ``Fraction``.
-    """
-    lcm = math.lcm(*(w.denominator for w in table.entries.values()))
-    # diffs[n][r] = sum_m (-1)^(k-m) C(k, m) L w[n, m + r] at the current k
-    diffs: Dict[int, list[int]] = {}
-    for (n, m), w in table.entries.items():
-        row = diffs.setdefault(n, [])
-        if len(row) <= m:
-            row.extend([0] * (m + 1 - len(row)))
-        row[m] = w.numerator * (lcm // w.denominator)
-    taylor = [Fraction(0)]
-    fact = 1
-    for j in range(1, order + 1):
-        fact *= j
-        taylor.append(Fraction(sum(n ** j * row[0] for n, row in diffs.items()), fact * lcm))
-        for row in diffs.values():
-            for r in range(len(row) - 1):
-                row[r] = row[r + 1] - row[r]
-            row[-1] = -row[-1]
-    return taylor
-
-
 @lru_cache(maxsize=None)
 def cached_table(dims: WishartDims) -> CoeffTable:
     """Process-wide memoised extract_coefficients."""

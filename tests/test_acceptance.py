@@ -19,12 +19,12 @@ from fdrelay.outage import (
     OutageQuery,
     ZFMode,
     diversity_order,
+    hop_cdf,
     link_dims,
 )
 from fdrelay.wishart import (
     WishartDims,
     cached_table,
-    cdf_taylor,
     extract_coefficients,
 )
 from fdrelay.zf import make_rng, outage_from_gains
@@ -201,7 +201,7 @@ def test_criterion_7_diversity_order_slopes():
                 continue
             if antennas not in CONFIG_SET:
                 continue  # orders only: the float closed form is far off this deep
-            t_sum = sum(float(cdf_taylor(cached_table(h), d)[d]) for h in hops if h.a * h.b == d)
+            t_sum = sum(float(hop_cdf(cached_table(h)).t_j0) for h in hops if h.a * h.b == d)
             asymptote = [t_sum * (GAMMA_T / 10.0 ** (g / 10.0)) ** d for g in grid_db]
             ratios = [row.analytic / p for row, p in zip(build_curve(run).rows, asymptote)]
             gaps = [abs(1.0 - r) for r in ratios]

@@ -7,6 +7,8 @@ from fdrelay.wishart import WishartDims, extract_coefficients
 from kang_alouini import max_eig_cdf, mixture_cdf, relative_error
 
 DIMS_UP_TO_4X7 = [(a, b) for a in range(1, 5) for b in range(a, 8)]
+#: the tables past 4x7, where the crossover X reaches 32
+DIMS_PAST_4X7 = [(a, 8) for a in range(1, 5)] + [(a, b) for a in range(5, 9) for b in range(a, 9)]
 
 
 @pytest.mark.parametrize("dims", DIMS_UP_TO_4X7, ids=lambda d: f"{d[0]}x{d[1]}")
@@ -47,4 +49,14 @@ def test_closed_form_matches_the_oracle_down_the_tail(dims):
     values = link_outage(hop_cdf(extract_coefficients(WishartDims(*dims))), scales, 1.0)
     for scale, value in zip(scales, values):
         x = 1.0 / scale  # the x that link_outage saw
+        assert relative_error(value, max_eig_cdf(*dims, x)) <= 1e-12, x
+
+
+@pytest.mark.parametrize("dims", DIMS_PAST_4X7, ids=lambda d: f"{d[0]}x{d[1]}")
+def test_closed_form_matches_the_oracle_around_the_crossover(dims):
+    # both sides of the crossover X, up to 2X where the series stops, and one
+    # point down the tail
+    hop = hop_cdf(extract_coefficients(WishartDims(*dims)))
+    for x in [hop.crossover * f for f in (0.5, 0.99, 1.01, 2.0, 1e-3)]:
+        (value,) = link_outage(hop, [1.0], x)
         assert relative_error(value, max_eig_cdf(*dims, x)) <= 1e-12, x

@@ -25,12 +25,13 @@ from fdrelay.outage import (
     link_outage,
     rate_to_snr_threshold,
 )
-from fdrelay.wishart import CoeffTable, WishartDims, cached_table
+from fdrelay.wishart import CoeffTable, NonzeroResidualError, WishartDims, cached_table
 from kang_alouini import max_eig_cdf
 from outage_reference import link_snr_pdf
 from runs import analytic_curve, make_run
 
 DIMS_UP_TO_4X7 = [(a, b) for a in range(1, 5) for b in range(a, 8)]
+ALL_DIMS = [(a, b) for a in range(1, MAX_ANTENNAS + 1) for b in range(a, MAX_ANTENNAS + 1)]
 
 
 def table(a, b):
@@ -117,22 +118,33 @@ def test_run_config_without_a_grid_checks_its_unit_scales():
         make_run((2, 3, 2, 1), "receive", (), seed=-1)
 
 
-#: Powers and amplitudes: zero, negative, non-finite, tiny and huge.
-budget_values = st.one_of(st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-200, 1e200]),
-                          st.floats(1e-3, 1e3))
+#: Powers and amplitudes: in range, and in about one draw in ten zero,
+#: negative, non-finite, tiny or huge.
+budget_values = st.integers(0, 9).flatmap(
+    lambda i: st.floats(1e-3, 1e3) if i else
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, 1e-200, 1e200]))
 
 
-#: Amplitudes: the budget values, and 1.0, which an asymmetric budget needs.
-alpha_values = st.one_of(st.just(1.0), budget_values)
+@st.composite
+def budgets(draw):
+    """(asymmetry, ratio, (alpha_sr, alpha_rd)): in about nine draws in ten a
+    ratio and amplitudes that suit the asymmetry (none and any for a symmetric
+    budget, one above 1 and 1.0 for an asymmetric one), else any."""
+    asymmetry = draw(st.sampled_from(["symmetric", "sr_dominant", "rd_dominant", "sr-dominant"]))
+    if draw(st.integers(0, 9)) == 0:
+        return (asymmetry, draw(st.one_of(st.none(), budget_values)),
+                (draw(st.one_of(st.just(1.0), budget_values)),
+                 draw(st.one_of(st.just(1.0), budget_values))))
+    if asymmetry == "symmetric":
+        return asymmetry, None, (draw(budget_values), draw(budget_values))
+    return asymmetry, draw(st.floats(1.0, 1e3, exclude_min=True)), (1.0, 1.0)
 
 
-@given(p_s=budget_values, p_r=budget_values, alpha_sr=alpha_values, alpha_rd=alpha_values,
-       asymmetry=st.sampled_from(["symmetric", "sr_dominant", "rd_dominant", "sr-dominant"]),
-       ratio=st.one_of(st.none(), budget_values),
+@given(p_s=budget_values, p_r=budget_values, budget=budgets(),
        grid=st.lists(st.floats(-400, 400), max_size=3).map(lambda g: tuple(sorted(g))))
 @settings(max_examples=300, deadline=None)
-def test_run_config_builds_only_usable_runs(p_s, p_r, alpha_sr, alpha_rd, asymmetry, ratio,
-                                            grid):
+def test_run_config_builds_only_usable_runs(p_s, p_r, budget, grid):
+    asymmetry, ratio, (alpha_sr, alpha_rd) = budget
     try:
         run = make_run((2, 3, 2, 1), "receive", grid, p_s=p_s, p_r=p_r,
                        alphas=(alpha_sr, alpha_rd), asymmetry=asymmetry, ratio=ratio)
@@ -223,6 +235,19 @@ def test_link_outage_monotone_in_threshold_and_scale():
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("entries, g", [
+    # weights -1 and 2 at m = 1, 2 sum to 1, but F = 1 - e^{-x} (1 + x + x^2),
+    # so G = e^x - 1 - x - x^2 and g_2 = -1/2
+    ({(1, 1): F(-1), (1, 2): F(2)}, "g_2 = -1/2"),
+    ({(1, 0): F(1)}, "g_1 = 1"),  # 1 - e^{-x}: g_1 is not 0 below ab = 2
+    ({(1, 2): F(1)}, "g_2 = 0"),  # the Erlang-3 CDF: g_2 is 0 at ab = 2
+])
+def test_hop_cdf_refuses_a_table_whose_growth_series_is_not_positive(entries, g):
+    bogus = CoeffTable(WishartDims(1, 2), F(1), entries)
+    with pytest.raises(NonzeroResidualError, match=re.escape(g)):
+        hop_cdf(bogus)
+
+
 def test_link_outage_rejects_bogus_weights():
     good = table(1, 2)
     bogus = CoeffTable(good.dims, good.norm_const, {(1, 1): F(3, 2)})
@@ -231,7 +256,7 @@ def test_link_outage_rejects_bogus_weights():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(DIMS_UP_TO_4X7), st.floats(-6.0, 2.0),
+@given(st.sampled_from(ALL_DIMS), st.floats(-6.0, 2.0),
        st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=30))
 def test_link_outage_is_monotone(dims, log10_x, steps):
     # points at least 1e-4 apart in x, from 1e-6 to about 1e4
@@ -243,6 +268,14 @@ def test_link_outage_is_monotone(dims, log10_x, steps):
     assert all(p >= q for p, q in zip(by_scale, by_scale[1:]))
     by_threshold = [link_outage(t, [1.0], x)[0] for x in xs]  # gamma_t rising
     assert all(p <= q for p, q in zip(by_threshold, by_threshold[1:]))
+
+
+@pytest.mark.parametrize("dims", ALL_DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
+def test_every_point_of_a_dense_grid_is_proven(dims):
+    # 500 points a decade, x from 1e-6 to 1e4: a point that no branch proves
+    # raises InvalidProbabilityError
+    values = link_outage(hop(*dims), [10.0 ** (k / 500) for k in range(3000, -2001, -1)], 1.0)
+    assert len(values) == 5001 and all(0.0 <= v <= 1.0 for v in values)
 
 
 @pytest.mark.parametrize("a,b", [(a, b) for b in range(1, 8) for a in range(1, b + 1)])
@@ -298,12 +331,16 @@ def test_below_the_double_range_the_outage_rounds(dims, x):
 def test_nan_does_not_leak_out_of_closed_form(monkeypatch):
     with pytest.raises(ValueError, match="gamma_t must be non-negative"):
         link_outage(hop(2, 3), [1.0], math.nan)
-    # a branch that gives nan is caught by the [0, 1] check
-    monkeypatch.setattr(outage, "_taylor", lambda hop, x: None)
-    monkeypatch.setattr(outage, "_horner", lambda hop, x: (math.nan, math.inf, 1.0))
-    monkeypatch.setattr(outage, "_decimal", lambda hop, x, size, estimate: math.nan)
-    with pytest.raises(InvalidProbabilityError, match=re.escape("link outage = nan is outside")):
-        link_outage(hop(2, 3), [1.0, 2.0], 1.0)
+    # a branch that gives nan is caught by the [0, 1] check: x = 1 takes the
+    # series, and x = 2 = X Horner and then the series
+    t = hop(2, 3)
+    assert t.crossover == 2.0
+    monkeypatch.setattr(outage, "_series", lambda hop, x: (math.nan, math.inf))
+    monkeypatch.setattr(outage, "_horner", lambda hop, x: (math.nan, math.inf))
+    for x in (1.0, 2.0):
+        with pytest.raises(InvalidProbabilityError,
+                           match=re.escape("link outage = nan is outside")):
+            link_outage(t, [1.0], x)
 
 
 def test_nan_rejected_by_every_guard():

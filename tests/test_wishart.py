@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -15,6 +16,7 @@ from scipy import integrate
 from exppoly_eval import evaluate
 from exppoly_ref import ExpPoly, gram_entries, lower_gamma_poly, max_eig_cdf, slices
 from fdrelay import wishart
+from fdrelay.outage import growth_taylor
 from fdrelay.wishart import (
     CacheChecksumError,
     CacheFormatError,
@@ -23,7 +25,6 @@ from fdrelay.wishart import (
     NonzeroResidualError,
     WishartDims,
     cdf_matrix,
-    cdf_taylor,
     expected_keys,
     extract_coefficients,
     load_table,
@@ -261,40 +262,49 @@ def cauchy_leading_coefficient(dims):
     return normalization_constant(dims) * F(num, den)
 
 
-def test_cdf_taylor_matches_the_cauchy_determinant():
+def growth(table, order):
+    """g_0 .. g_order of G = e^{ax} F, exactly."""
+    return [F(num, den) for num, den in itertools.islice(growth_taylor(table), order + 1)]
+
+
+def test_growth_series_matches_the_cauchy_determinant():
     for a in range(1, 6):
         for b in range(a, 8):
             dims = WishartDims(a, b)
-            t = cdf_taylor(extract_coefficients(dims), a * b + 1)
-            assert not any(t[:a * b]), dims
-            assert t[a * b] == cauchy_leading_coefficient(dims), dims
+            g = growth(extract_coefficients(dims), a * b + 1)
+            assert not any(g[:a * b]), dims
+            assert g[a * b] == cauchy_leading_coefficient(dims), dims
     assert cauchy_leading_coefficient(WishartDims(2, 3)) == F(1, 144)
     assert cauchy_leading_coefficient(WishartDims(3, 3)) == F(1, 8640)
     assert cauchy_leading_coefficient(WishartDims(4, 7)) == F(1, 22299538725273600000)
 
 
-def fraction_taylor(table, order):
-    """cdf_taylor in Fraction arithmetic, term by term."""
+def fraction_growth(table, order):
+    """g_0 .. g_order in Fraction arithmetic, term by term: the CDF's Taylor
+    coefficients from the density, times those of e^{ax}."""
     density = [F(0)] * order  # density[i] = [x^i] f
     for (n, m), w in table.entries.items():
         c = w * F(n ** (m + 1), math.factorial(m))
         for i in range(order - m):
             density[m + i] += c * F((-n) ** i, math.factorial(i))
-    return [F(0)] + [d / (i + 1) for i, d in enumerate(density)]
+    cdf = [F(0)] + [d / (i + 1) for i, d in enumerate(density)]
+    a = table.dims.a
+    return [sum(cdf[i] * F(a ** (j - i), math.factorial(j - i)) for i in range(j + 1))
+            for j in range(order + 1)]
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 3), (3, 3), (4, 5), (5, 7)])
-def test_cdf_taylor_matches_fraction_arithmetic(dims):
+def test_growth_series_matches_fraction_arithmetic(dims):
     table = extract_coefficients(WishartDims(*dims))
     order = dims[0] * dims[1] + 20
-    assert cdf_taylor(table, order) == fraction_taylor(table, order)
+    assert growth(table, order) == fraction_growth(table, order)
 
 
-def test_cdf_taylor_single_channel():
-    # 1 - e^{-x} = x - x^2/2 + x^3/6 - ...; Erlang-2: x^2/2 - x^3/3 + x^4/8
-    assert cdf_taylor(extract_coefficients(WishartDims(1, 1)), 3) == [0, 1, F(-1, 2), F(1, 6)]
-    assert cdf_taylor(extract_coefficients(WishartDims(1, 2)), 4) == [0, 0, F(1, 2), F(-1, 3),
-                                                                       F(1, 8)]
+def test_growth_series_single_channel():
+    # 1 - e^{-x} gives G = e^x - 1; the Erlang-2 CDF 1 - e^{-x} (1 + x) gives e^x - 1 - x
+    assert growth(extract_coefficients(WishartDims(1, 1)), 3) == [0, 1, F(1, 2), F(1, 6)]
+    assert growth(extract_coefficients(WishartDims(1, 2)), 4) == [0, 0, F(1, 2), F(1, 6),
+                                                                  F(1, 24)]
 
 
 # -- disk cache -------------------------------------------------------------------------
