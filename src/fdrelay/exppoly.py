@@ -15,32 +15,31 @@ determinants exactly, on integers throughout.  No floating point and no
 Determinants run on packed integers (Kronecker substitution): the
 x-polynomial at each decay index k becomes one Python int, its value at
 x = 2**W, so that multiplying two polynomials takes a handful of
-big-integer products.  Every packed quotient is checked to fit its slots,
-so the packing is exact whatever W, or raises; each elimination step packs
-at one width, just above its update's coefficient bound.
+big-integer products.  With y = e^{-x}, packing is the ring homomorphism
+Z[x][y] -> Z[y] that sends x to 2**W: it keeps sums and products for any W.
+So if a = b * q in Z[x][y], the packed a is the packed b times the packed
+q, and as Z[y] has no zero divisors, dividing by a packed b that is not
+zero gives the packed q.  Fraction-free elimination, whose divisions are
+all exact in Z[x][y], therefore ends on the packed determinant.  W only
+has to let the minors unpack: digits are balanced, so every coefficient of
+magnitude below 2**(W-1) reads back, and below that packing is injective,
+so a pivot is zero exactly when it packs to zero.  No coefficient of a
+minor exceeds the permanent of its entries' L1 norms, which is at most the
+product of the whole matrix's row sums of those norms (each taken as at
+least 1); W is the width of that product.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 Slices = dict[int, list[int]]  # k -> integer coefficients of x**0, x**1, ...
 Packed = dict[int, int]  # k -> that x-polynomial's value at x = 2**W
 
-#: Bits above the update's own bound at which each elimination step packs.
-#: The quotient check decides whether they suffice; for every table up to
-#: MAX_ANTENNAS they do (test_every_table_extracts_at_one_width_per_step).
-_SLACK_BITS = 8
-
 
 class InexactDivisionError(ArithmeticError):
     """Raised when an exact ring division is requested but does not exist."""
-
-
-def _norms(poly: Slices) -> tuple[int, int]:
-    """The L1 norm and the largest magnitude of the coefficients."""
-    mags = [abs(c) for coeffs in poly.values() for c in coeffs]
-    return sum(mags), max(mags, default=0)
 
 
 def _slot_width(bound: int) -> int:
@@ -51,13 +50,15 @@ def _slot_width(bound: int) -> int:
 
 
 def _pack(poly: Slices, w: int) -> Packed:
-    """Each slice's x-polynomial evaluated at x = 2**w (Kronecker substitution)."""
+    """Each nonzero slice's x-polynomial evaluated at x = 2**w (Kronecker
+    substitution)."""
     packed: Packed = {}
     for k, coeffs in poly.items():
         v = 0
         for c in reversed(coeffs):
             v = (v << w) + c
-        packed[k] = v
+        if v:
+            packed[k] = v
     return packed
 
 
@@ -101,8 +102,8 @@ def _divide(num: Packed, den: Packed) -> Packed:
     Each step divides the remainder's top slice by ``den``'s with one
     ``divmod`` and subtracts the quotient slice times ``den``.  Raises
     InexactDivisionError on a nonzero remainder or on a quotient index below
-    zero.  This is division of the packed integers; ``_quotient`` proves
-    that it is division of the polynomials too.
+    zero; ``determinant`` divides only where the quotient exists.  Leaves
+    no zero slices.
     """
     top = max(den)
     lead = den[top]
@@ -128,90 +129,41 @@ def _divide(num: Packed, den: Packed) -> Packed:
     return quot
 
 
-def _quotient(num: Packed, num_bound: int, den: Packed, den_max: int,
-              w: int) -> tuple[Slices, tuple[int, int]]:
-    """The polynomial quotient ``num / den``, checked exact, and its norms.
-
-    ``num`` packs at width ``w`` a polynomial whose coefficients have
-    magnitude at most ``num_bound``; ``den`` packs one whose largest is
-    ``den_max``.  The division leaves ``q * den == num`` at x = 2**w.  When
-    the coefficients of both sides, ``num``'s and those of ``q * den`` (at
-    most L1(q) * den_max), are below 2**(w-1), their difference is a
-    polynomial with coefficients below 2**w that vanishes at 2**w, so it is
-    zero: q is the exact quotient.  Otherwise this raises
-    InexactDivisionError, so it never returns a wrong quotient, whatever
-    ``w``.
-    """
-    half = 1 << (w - 1)
-    if max(num_bound, den_max) >= half:
-        raise InexactDivisionError(f"division does not fit slots of {w} bits")
-    quot = _unpack(_divide(num, den), w)
-    norms = _norms(quot)
-    if norms[0] * den_max >= half:
-        raise InexactDivisionError(f"quotient does not fit slots of {w} bits")
-    return quot, norms
-
-
-def _canonical(poly: Slices) -> Slices:
-    """``poly`` without zero slices or trailing zero coefficients; raises
-    TypeError on a coefficient that is not an integer."""
-    out: Slices = {}
-    for k, coeffs in poly.items():
-        if not all(isinstance(c, int) for c in coeffs):
-            raise TypeError("matrix entries must have integer coefficients")
-        top = len(coeffs)
-        while top and not coeffs[top - 1]:
-            top -= 1
-        if top:
-            out[k] = coeffs[:top]
-    return out
-
-
 def determinant(matrix: Sequence[Sequence[Slices]]) -> Slices:
     """Exact determinant of a square matrix of integer exponential polynomials.
 
-    Runs fraction-free Bareiss elimination in Z[x, e^{-x}]: each step's
-    update ``a_ij * piv - a_ip * a_pj`` divides exactly by the previous pivot
-    (Sylvester's identity).  Every step packs its entries at one slot width
-    W, so that each update is a few big-integer products and the division is
-    long division over the decay index (``_divide``).  W is the width of the
-    update's bound, at most L1(a_ij) * max|piv| + L1(a_ip) * max|a_pj| (and
-    of the previous pivot), plus ``_SLACK_BITS``.  ``_quotient`` checks that
-    both sides of each division fit W, so no width returns a wrong
-    determinant; a width too narrow raises InexactDivisionError.  The result
-    is canonical: no zero slices and no trailing zeros; zero is ``{}``.
+    Runs fraction-free Bareiss elimination: each step's update
+    ``a_ij * piv - a_ip * a_pj`` divides exactly by the previous pivot
+    (Sylvester's identity).  Every entry is packed once, at the one width
+    the module docstring proves, so that each update is a few big-integer
+    products and each division is long division over the decay index
+    (``_divide``); only the last pivot is unpacked.  The result is
+    canonical: no zero slices and no trailing zeros; zero is ``{}``.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    a = [[_canonical(e) for e in row] for row in matrix]
-    norms = [[_norms(e) for e in row] for row in a]
+    row_coeffs = [[c for e in row for coeffs in e.values() for c in coeffs] for row in matrix]
+    if not all(isinstance(c, int) for cs in row_coeffs for c in cs):
+        raise TypeError("matrix entries must have integer coefficients")
+    bound = math.prod(max(1, sum(map(abs, cs))) for cs in row_coeffs)
+    w = _slot_width(bound)
+    m = [[_pack(e, w) for e in row] for row in matrix]
     sign = 1
-    prev: Slices = {0: [1]}
-    prev_max = 1
+    prev: Packed = {0: 1}
     for p in range(n - 1):
-        pivot_row = next((i for i in range(p, n) if a[i][p]), None)
+        pivot_row = next((i for i in range(p, n) if m[i][p]), None)
         if pivot_row is None:
             return {}
         if pivot_row != p:
-            for rows in (a, norms):
-                rows[p], rows[pivot_row] = rows[pivot_row], rows[p]
+            m[p], m[pivot_row] = m[pivot_row], m[p]
             sign = -sign
-        piv_max = norms[p][p][1]
-        cross_bound = max(
-            norms[i][j][0] * piv_max + norms[i][p][0] * norms[p][j][1]
-            for i in range(p + 1, n) for j in range(p + 1, n)
-        )
-        w = _slot_width(max(cross_bound, prev_max)) + _SLACK_BITS
-        packed = [[_pack(e, w) for e in row[p:]] for row in a[p:]]
-        den = _pack(prev, w)
-        piv, pivot_packed = packed[0][0], packed[0]
-        for i, row in enumerate(packed[1:], p + 1):
-            for j in range(1, n - p):
-                num = _product(row[0], pivot_packed[j], _product(row[j], piv), -1)
-                a[i][p + j], norms[i][p + j] = _quotient(num, cross_bound, den, prev_max, w)
-        prev, prev_max = a[p][p], piv_max
-    det = a[n - 1][n - 1]
-    return det if sign > 0 else {k: [-c for c in coeffs] for k, coeffs in det.items()}
+        piv, pivot_packed = m[p][p], m[p]
+        for row in m[p + 1:]:
+            for j in range(p + 1, n):
+                num = _product(row[p], pivot_packed[j], _product(row[j], piv), -1)
+                row[j] = _divide(num, prev)
+        prev = piv
+    return _unpack({k: sign * v for k, v in m[n - 1][n - 1].items()}, w)

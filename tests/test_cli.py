@@ -164,12 +164,12 @@ def test_coeffs_reports_the_exact_sum_and_entry_count(capsys):
 
 def test_coeffs_exits_1_on_a_failed_exact_division(capsys, monkeypatch):
     def refuse(matrix):
-        raise InexactDivisionError("quotient does not fit slots of 9 bits")
+        raise InexactDivisionError("coefficient not divisible")
 
     monkeypatch.setattr(wishart, "determinant", refuse)
     assert main(["coeffs", "2x3"]) == 1
     err = capsys.readouterr().err
-    assert "fdrelay: quotient does not fit slots of 9 bits" in err
+    assert "fdrelay: coefficient not divisible" in err
     assert "Traceback" not in err
 
 

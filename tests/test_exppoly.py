@@ -12,9 +12,8 @@ from hypothesis import given, settings
 
 from det_reference import add, det_cofactor, mul, neg
 from exppoly_eval import evaluate
-from fdrelay import exppoly
 from exppoly_ref import ExpPoly, det, gram_entries, lower_gamma_poly, slices
-from fdrelay.exppoly import InexactDivisionError, _divide, _pack, _quotient, determinant
+from fdrelay.exppoly import InexactDivisionError, _divide, _pack, determinant
 from fdrelay.outage import MAX_ANTENNAS
 from fdrelay.wishart import extract_coefficients, WishartDims
 from mixture import mixture_density
@@ -185,8 +184,8 @@ def test_bareiss_matches_cofactor(n, data):
 @given(st.integers(2, 5), st.data())
 @settings(max_examples=30)
 def test_bareiss_matches_cofactor_with_huge_coefficients(n, data):
-    # stresses the slot widths; row 0 opens with zeros, so its zero pivots
-    # swap it down past as many rows
+    # coefficients up to 2**200, so the entries pack at hundreds of bits; row
+    # 0 opens with zeros, so its zero pivots swap it down past as many rows
     rows = [[data.draw(huge_exppolys) for _ in range(n)] for _ in range(n)]
     zeros = data.draw(st.integers(1, n - 1))
     rows[0][:zeros] = [ZERO] * zeros
@@ -234,6 +233,25 @@ def test_large_matrix_uses_bareiss_path():
     assert det(m) == det_cofactor(m)
 
 
+#: Huge odd coefficients of both signs, so that no product of them is a power
+#: of two: each product needs every bit of its slot width.
+HUGE = (2 ** 67 - 3, -(2 ** 61 - 1))
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["diagonal", "anti_diagonal"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_slot_width_holds_a_coefficient_at_its_bound(n, anti):
+    # one monomial per row, so the determinant's single coefficient is the
+    # product of the row sums: the bound the slot width is taken from
+    coeffs = [HUGE[i % 2] for i in range(n)]
+    m = [[{} for _ in range(n)] for _ in range(n)]
+    for i, c in enumerate(coeffs):
+        m[i][n - 1 - i if anti else i] = {i % 3: [0] * i + [c]}
+    sign = (-1) ** (n * (n - 1) // 2) if anti else 1
+    power, decay = n * (n - 1) // 2, sum(i % 3 for i in range(n))
+    assert determinant(m) == {decay: [0] * power + [sign * math.prod(coeffs)]}
+
+
 # -- exact division -----------------------------------------------------------------
 
 
@@ -252,40 +270,9 @@ def test_packed_division_checks_each_coefficient():
         _divide(_packed({(0, 1): 1, (0, 0): 1}), _packed({(1, 0): 1}))
 
 
-def test_quotient_rejects_a_packed_division_that_is_not_polynomial():
-    # (x + 2) / 2 has no integer quotient, but 2**8 + 2 is even: the packed
-    # quotient 2**7 + 1 reads back as x - 127, which times 2 leaves the slots
-    den = _packed({(0, 0): 2}, 8)
-    num = _packed({(0, 1): 1, (0, 0): 2}, 8)
-    assert _divide(num, den) == {0: 2 ** 7 + 1}
-    with pytest.raises(InexactDivisionError, match="quotient does not fit"):
-        _quotient(num, 2, den, 2, 8)
-    exact = _packed({(0, 1): 2, (0, 0): 4}, 8)
-    assert _quotient(exact, 4, den, 2, 8) == ({0: [2, 1]}, (3, 2))
-
-
-def test_too_narrow_slots_raise_and_never_give_a_wrong_determinant(monkeypatch):
-    # incomplete gammas, whose minors outgrow the entries; every width from
-    # the bounds' own down to one bit either checks out or raises
-    m = [[lower_gamma_poly(i + j + 1) * F(1, i + 1) for j in range(4)] for i in range(4)]
-    exact = det_cofactor(m)
-    real_width = exppoly._slot_width
-    raised = set()
-    for cut in range(64):
-        monkeypatch.setattr(exppoly, "_slot_width",
-                            lambda bound, cut=cut: max(1, real_width(bound) - cut))
-        try:
-            result = det(m)
-        except InexactDivisionError as exc:
-            raised.add(str(exc).split(" does not fit")[0])
-        else:
-            assert result == exact, cut
-    assert raised == {"division", "quotient"}
-
-
-def test_every_table_extracts_at_one_width_per_step():
-    # each elimination step packs at one width with no retry, so a width too
-    # narrow for any table the program can build raises InexactDivisionError
+def test_every_table_up_to_max_antennas_extracts():
+    # every table the program can build: extraction raises unless the
+    # determinant is exactly a mixture whose weights sum to one
     for a in range(1, MAX_ANTENNAS + 1):
         for b in range(a, MAX_ANTENNAS + 1):
             assert extract_coefficients(WishartDims(a, b)).total() == 1, (a, b)
