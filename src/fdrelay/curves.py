@@ -41,7 +41,7 @@ from .wishart import (
 CSV_HEADER = "gammabar_db,analytic,mc,ci_low,ci_high"
 #: Longest SNR grid a run may ask for: 0.01 dB steps across 100 dB.
 #: Finer curves show nothing new, and every point costs a closed-form
-#: evaluation and, in each Monte Carlo block, a pass over that block's gains.
+#: evaluation and, in each Monte Carlo block, one binary search.
 MAX_GRID_POINTS = 10_000
 #: Most Monte Carlo trials a run may ask for.  Memory does not grow with
 #: trials, since each block is counted where it is drawn, so the bound is
@@ -229,8 +229,9 @@ def build_curve(run: RunConfig, cache_dir: Optional[Path] = None,
     p_rd = p_sr if same else link_outage(_hop(dims_rd, cache_dir), scales_rd, gamma_t)
     mc = [(None, None, None)] * len(run.grid_db)
     if run.trials > 0:
+        bounds = [gamma_t / db_to_linear(g_db) for g_db in run.grid_db]
         failures = mcsim.link_gain_samples(run.antenna, run.trials, run.seed,
-                                           scales_sr, scales_rd, gamma_t)[0].tolist()
+                                           run.unit_scales(), bounds)[0].tolist()
         mc = [(k / run.trials, *mcsim.wilson_interval(k, run.trials)) for k in failures]
     # the link fails iff either hop fails; link_outage has clamped both to [0, 1]
     return OutageCurve(rows=tuple(CurveRow(g_db, sr + (1.0 - sr) * rd, *m)

@@ -6,9 +6,9 @@ A run of i.i.d. Rayleigh trials is split into fixed-size blocks, each with
 its own jumped substream of the counter-based Philox generator, so each
 block's gains depend only on (seed, block) and runs are exactly
 reproducible.  ``zf`` draws a block's channels, builds its zero-forcing
-beamformers and thresholds its gains where they were drawn; only its
-per-point failure counts leave it, so no process holds more than one block
-of gains.  A run of two or more blocks sends them to a pool of worker
+beamformers and counts its outages against one bound per point where they
+were drawn; only those counts leave it, so no process holds more than one
+block of gains.  A run of two or more blocks sends them to a pool of worker
 processes, forked once per process with one worker per usable CPU, and adds
 up their counts in block order; the counts are those of running every block
 inline, as a one-block run, a one-CPU host or a platform without ``fork``
@@ -116,17 +116,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_blocks(seed: int, config: AntennaConfig, sizes: list[int],
-                scales_sr, scales_rd, gamma_t: float):
+def _run_blocks(seed: int, config: AntennaConfig, sizes: list[int], units, bounds):
     """``zf._block_failures`` of every block, yielded in block order.
 
-    Every work item shares the one pair of scale arrays.  The pool gets at
-    most BLOCKS_AHEAD_PER_WORKER blocks per worker beyond those yielded.
+    Every work item shares the one array of bounds.  The pool gets at most
+    BLOCKS_AHEAD_PER_WORKER blocks per worker beyond those yielded.
     """
     from .zf import _block_failures  # before the pool forks: workers inherit it
 
     work = zip(repeat(seed), range(len(sizes)), repeat(config), sizes,
-               repeat(scales_sr), repeat(scales_rd), repeat(gamma_t))
+               repeat(units), repeat(bounds))
     pool = _block_pool() if len(sizes) > 1 else None
     if pool is None:
         yield from starmap(_block_failures, work)
@@ -150,27 +149,25 @@ def _run_blocks(seed: int, config: AntennaConfig, sizes: list[int],
             future.cancel()
 
 
-def link_gain_samples(config: AntennaConfig, trials: int, seed: int,
-                      scales_sr, scales_rd, gamma_t: float) -> tuple:
+def link_gain_samples(config: AntennaConfig, trials: int, seed: int, units, bounds) -> tuple:
     """Outage counts of ``trials`` independent fades at each point of a curve.
 
-    A point is a pair of hop scales (effective power times average SNR)
-    from ``scales_sr`` and ``scales_rd``; a trial is in outage there when
-    ``zf.outage_from_gains`` says so.  Returns ``(failures,)``: one int64
-    count per point, deterministic in (config, trials, seed), whatever the
-    CPU count; it stays a tuple because ``bench/run.py`` reads one.  Each
-    block's unit-scale gains are drawn, thresholded and dropped in the
-    process that drew them.
+    ``units`` are the hops' effective powers (u_sr, u_rd), and the point at
+    average SNR gbar is the bound gamma_t / gbar, as ``zf.outage_from_gains``
+    counts.  Returns ``(failures,)``: one int64 count per bound, in the
+    bounds' order, deterministic in (config, trials, seed), whatever the CPU
+    count; it stays a tuple because ``bench/run.py`` reads one.  Each
+    block's unit-scale gains are drawn, counted and dropped in the process
+    that drew them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     import numpy as np  # only Monte Carlo runs pay for numpy
 
-    scales_sr = np.asarray(scales_sr, dtype=float)
-    scales_rd = np.asarray(scales_rd, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
     sizes = [min(BLOCK_SIZE, trials - start) for start in range(0, trials, BLOCK_SIZE)]
-    failures = np.zeros(scales_sr.size, dtype=np.int64)
-    for block_failures in _run_blocks(seed, config, sizes, scales_sr, scales_rd, gamma_t):
+    failures = np.zeros(bounds.size, dtype=np.int64)
+    for block_failures in _run_blocks(seed, config, sizes, units, bounds):
         failures += block_failures
     return (failures,)
 

@@ -11,6 +11,10 @@ DegenerateChannelError: its loopback image is zero, which leaves no
 direction to null, or its null |w_r^H H_rr w_t| exceeds ZF_NULL_TOL.  The
 image is H_rr w for a unit w independent of H_rr, so it is CN(0, I_k) with
 k >= 2 and is zero with probability 0.
+
+Both hop SNRs scale with the average SNR, so a trial's end-to-end SNR at
+unit average SNR decides its outage at every point of a curve:
+``outage_from_gains`` sorts those once and counts each point by a search.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import numpy as np
 from .mcsim import DegenerateChannelError
 from .outage import AntennaConfig, ZFMode
 
-#: Trials per pass of the gain kernel and of the failure count within one
-#: RNG block; bounds their temporaries without moving any block boundary.
+#: Trials per pass of the gain kernel within one RNG block; bounds its
+#: temporaries without moving any block boundary.
 #: The kernel's float results depend on it above 2**13: 2**11 to 2**13 give
 #: identical bits, but at 2**14 the (3,4,3,3) receive near-hop gains of a
 #: block move in their last bits (270 of 16,384 trials, at most 5.2e-16
@@ -45,10 +49,7 @@ EIG3_GAP_MIN = 2.0 / (9.0 * math.sqrt(3.0)) * 32.0 * np.finfo(float).eps / 1e-13
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for one substream of the given seed."""
-    bg = np.random.Philox(key=seed)
-    if stream:
-        bg = bg.jumped(stream)
-    return np.random.Generator(bg)
+    return np.random.Generator(np.random.Philox(key=seed).jumped(stream))
 
 
 def _randn_c(rng: np.random.Generator, shape) -> np.ndarray:
@@ -222,28 +223,22 @@ def _block_gains(rng: np.random.Generator, config: AntennaConfig, n: int):
     return lam_sr, lam_rd
 
 
-def _block_failures(seed: int, block: int, config: AntennaConfig, n: int,
-                    scales_sr: np.ndarray, scales_rd: np.ndarray, gamma_t: float):
-    """Failure counts at every grid point of one block's own substream; what
-    a worker runs."""
+def _block_failures(seed: int, block: int, config: AntennaConfig, n: int, units, bounds):
+    """Failure counts at every bound of one block's own substream; what a
+    worker runs."""
     gains = _block_gains(make_rng(seed, block), config, n)
-    return outage_from_gains(gains, scales_sr, scales_rd, gamma_t)
+    return outage_from_gains(gains, units, bounds)
 
 
-def outage_from_gains(gains, scales_sr, scales_rd, gamma_t: float) -> np.ndarray:
-    """Outage counts of unit-scale (SR, RD) gain samples at each point of a
-    curve, the pairs of hop scales ``zip(scales_sr, scales_rd)``.
+def outage_from_gains(gains, units, bounds) -> np.ndarray:
+    """Outage counts of unit-scale (SR, RD) gain samples against each bound.
 
-    A trial fails iff either hop's SNR is below ``gamma_t``, which is the
-    same event as min(snr_sr, snr_rd) < gamma_t.  Returns one int64 count
-    per point.  Counts SUB_BATCH trials at a time, so that the temporaries
-    of every point stay small and in cache.
+    ``units`` are the hops' scales at unit average SNR, (u_sr, u_rd), where
+    a trial's end-to-end SNR is z = min(u_sr * lam_sr, u_rd * lam_rd).  It
+    is in outage at average SNR gbar iff z < gamma_t / gbar, that point's
+    bound.  Returns one int64 count per bound, in the bounds' order, which
+    may be any: the trials with z below it, so z equal to it is no outage.
     """
-    lam_sr, lam_rd = gains
-    failures = np.zeros(len(scales_sr), dtype=np.int64)
-    for start in range(0, lam_sr.size, SUB_BATCH):
-        part_sr, part_rd = lam_sr[start:start + SUB_BATCH], lam_rd[start:start + SUB_BATCH]
-        for i, (scale_sr, scale_rd) in enumerate(zip(scales_sr, scales_rd)):
-            snr_min = np.minimum(scale_sr * part_sr, scale_rd * part_rd)
-            failures[i] += np.count_nonzero(snr_min < gamma_t)
-    return failures
+    (lam_sr, lam_rd), (unit_sr, unit_rd) = gains, units
+    z = np.sort(np.minimum(unit_sr * lam_sr, unit_rd * lam_rd))
+    return np.searchsorted(z, bounds).astype(np.int64)

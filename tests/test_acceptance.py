@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fdrelay.curves import build_curve, exact_diversity
+from fdrelay.curves import build_curve, db_to_linear, exact_diversity
 from fdrelay.mcsim import wilson_interval
 from fdrelay.outage import (
     AntennaConfig,
@@ -141,6 +141,7 @@ def test_criterion_5_closed_form_inside_mc_ci():
     query = OutageQuery.snr(GAMMA_T)
     misses = []
     points = 0
+    bounds = [GAMMA_T / db_to_linear(g_db) for g_db in GRID_DB]
     for antennas in CONFIG_SET:
         for mode in MODES:
             cfg = AntennaConfig(*antennas, mode)
@@ -148,7 +149,7 @@ def test_criterion_5_closed_form_inside_mc_ci():
             for name, alphas in BUDGET_ALPHAS.items():
                 run = make_run(antennas, mode, GRID_DB, query, alphas=alphas)
                 curve = [row.analytic for row in build_curve(run).rows]
-                failures = outage_from_gains(gains, *run.hop_scales(), GAMMA_T)
+                failures = outage_from_gains(gains, run.unit_scales(), bounds)
                 for g_db, analytic, k in zip(GRID_DB, curve, failures.tolist()):
                     lo, hi = wilson_interval(k, TRIALS, z=Z_99)
                     points += 1

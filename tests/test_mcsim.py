@@ -25,7 +25,7 @@ from fdrelay.zf import (
     make_rng,
     outage_from_gains,
 )
-from fdrelay.curves import build_curve
+from fdrelay.curves import build_curve, db_grid, db_to_linear
 from fdrelay.outage import AntennaConfig, ZFMode
 from fdrelay.wishart import WishartDims
 from eig_samplers import projected_max_eig_samples, sample_wishart_max_eig
@@ -35,6 +35,7 @@ from zf_reference import (
     draw_trials,
     gain_samples,
     loopback_direction,
+    outage_per_point,
     power_identity_residual,
     projector_law_residual,
     projectors,
@@ -166,14 +167,14 @@ def test_snrs_hand_computed_case():
 
 def test_snrs_linear_in_power():
     gains = gain_samples(RX_CFG, 5000, seed=5)
-    # scales are power times average SNR: p = (1.5, 2.5) and (6, 10) at SNRs (3, 7)
-    base_sr, base_rd = 1.5 * 3.0, 2.5 * 7.0
-    quad_sr, quad_rd = 6.0 * 3.0, 10.0 * 7.0
-    assert (quad_sr, quad_rd) == (4.0 * base_sr, 4.0 * base_rd)
+    # effective powers (1.5, 2.5) and (6, 10) at average SNR 3: a bound is
+    # the threshold over the average SNR
+    base, quad = (1.5, 2.5), (6.0, 10.0)
+    assert quad == (4.0 * base[0], 4.0 * base[1])
     # four times the power against four times the threshold: the same trials fail
-    (failures,) = outage_from_gains(gains, [base_sr], [base_rd], 20.0)
+    (failures,) = outage_from_gains(gains, base, [20.0 / 3.0])
     assert 0 < failures < 5000
-    assert outage_from_gains(gains, [quad_sr], [quad_rd], 80.0).tolist() == [failures]
+    assert outage_from_gains(gains, quad, [80.0 / 3.0]).tolist() == [failures]
 
 
 def test_mean_projected_gain_matches_quadrature():
@@ -237,27 +238,65 @@ def test_noise_only_received_power():
 
 def test_outage_from_gains_hand_count():
     gains = (np.array([1.0, 2.0, 3.0, 4.0]), np.array([4.0, 3.0, 2.0, 0.5]))
-    # SNRs min(2 * sr, rd) = (2, 3, 2, 0.5): three of four are below 2.5;
-    # min(sr, 8 * rd) = (1, 2, 3, 4): two; min(4 * sr, 4 * rd) = (4, 8, 8, 2): one
-    failures = outage_from_gains(gains, [2.0, 1.0, 4.0], [1.0, 8.0, 4.0], 2.5)
+    # SNRs min(2 * sr, rd) = (2, 3, 2, 0.5); the counts come back in the
+    # bounds' order, which need not rise and may repeat
+    failures = outage_from_gains(gains, (2.0, 1.0), [2.5, 0.25, 3.5, 2.5, 0.0])
     assert failures.dtype == np.int64
-    assert failures.tolist() == [3, 2, 1]
-    # the threshold itself is not an outage
-    assert outage_from_gains(gains, [2.0], [1.0], 2.0).tolist() == [1]
-    # counts go on across sub-batches
-    many = tuple(np.tile(g, SUB_BATCH // 2 + 1) for g in gains)
-    assert outage_from_gains(many, [2.0], [1.0], 2.5).tolist() == [3 * (SUB_BATCH // 2 + 1)]
+    assert failures.tolist() == [3, 0, 4, 3, 0]
+    # an SNR equal to its bound is not an outage
+    assert outage_from_gains(gains, (2.0, 1.0), [2.0, 0.5, 3.0]).tolist() == [1, 0, 3]
+    # min(sr, 8 * rd) = (1, 2, 3, 4) and min(4 * sr, 4 * rd) = (4, 8, 8, 2)
+    assert outage_from_gains(gains, (1.0, 8.0), [2.5]).tolist() == [2]
+    assert outage_from_gains(gains, (4.0, 4.0), [2.5, 8.0]).tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("antennas, mode", [
+    ((2, 3, 2, 2), ZFMode.RECEIVE), ((3, 4, 3, 3), ZFMode.RECEIVE),
+    ((2, 2, 3, 2), ZFMode.TRANSMIT), ((2, 3, 2, 1), ZFMode.RECEIVE),
+])
+def test_outage_from_gains_matches_per_point_count(antennas, mode):
+    # counts against one bound per point equal those of scaling each hop at
+    # each point, on random db_grid grids of 1 to 10,000 points, some
+    # shuffled or with repeats, unit scales over twelve decades and a zero
+    # threshold
+    gains = gain_samples(AntennaConfig(*antennas, mode), BLOCK_SIZE, seed=41)
+    rng = np.random.default_rng(sum(antennas))
+    crossed = 0
+    for case in range(8):
+        units = tuple(10.0 ** rng.uniform(-6.0, 6.0, size=2))
+        gamma_t = 0.0 if case == 1 else 10.0 ** rng.uniform(-3.0, 3.0)
+        # each grid spans the average SNR where the trials' SNRs cross the threshold
+        cross = 10.0 * math.log10((gamma_t or 1.0) / min(units))
+        if case == 0:
+            grid = db_grid(cross - 50.0, cross + 49.99, 0.01)
+            assert len(grid) == 10_000
+        else:
+            step = 10.0 ** rng.uniform(-2.0, 1.0)
+            span = 0.0 if case == 4 else min(step * rng.integers(1, 2_000), 100.0)
+            start = cross - rng.uniform(0.0, span)
+            grid = db_grid(start, start + span, step)
+        if case % 3 == 2:
+            grid = rng.permutation(grid).tolist()
+        elif case % 3 == 0 and case:
+            grid = rng.choice(grid, size=len(grid) + 5).tolist()
+        gbars = [db_to_linear(g) for g in grid]
+        expected = outage_per_point(gains, [units[0] * g for g in gbars],
+                                    [units[1] * g for g in gbars], gamma_t)
+        counts = outage_from_gains(gains, units, [gamma_t / g for g in gbars])
+        assert counts.tolist() == expected.tolist(), (case, units, gamma_t)
+        crossed += len(set(expected.tolist())) > 2
+    assert crossed == 6  # every curve but the one point and gamma_t = 0
 
 
 def test_estimate_outage_trivial_thresholds():
     for gamma_t, expected in ((0.0, 0), (1e12, 2000)):
-        assert link_gain_samples(RX_CFG, 2000, 1, [1.0], [1.0], gamma_t)[0].tolist() == [expected]
+        assert link_gain_samples(RX_CFG, 2000, 1, (1.0, 1.0), [gamma_t])[0].tolist() == [expected]
 
 
 def test_estimate_outage_deterministic():
-    scales = [1.0, 3.0, 10.0]
-    (f1,) = link_gain_samples(RX_CFG, 30_000, 77, scales, scales, 5.0)
-    (f2,) = link_gain_samples(RX_CFG, 30_000, 77, scales, scales, 5.0)
+    bounds = [5.0 / g for g in (1.0, 3.0, 10.0)]
+    (f1,) = link_gain_samples(RX_CFG, 30_000, 77, (1.0, 1.0), bounds)
+    (f2,) = link_gain_samples(RX_CFG, 30_000, 77, (1.0, 1.0), bounds)
     assert f1.tolist() == f2.tolist()
     assert 30_000 > f1[0] > f1[1] > f1[2] > 0
 
@@ -322,7 +361,7 @@ def test_gain_kernel_checks_zf_null(monkeypatch, mode):
 
     monkeypatch.setattr(zf, "_project_off", leaky)
     with pytest.raises(DegenerateChannelError, match="ZF null"):
-        link_gain_samples(AntennaConfig(2, 3, 3, 2, mode), 100, 3, [1.0], [1.0], 1.0)
+        link_gain_samples(AntennaConfig(2, 3, 3, 2, mode), 100, 3, (1.0, 1.0), [1.0])
 
 
 #: Whether runs of two or more blocks go to worker processes on this host.
@@ -336,17 +375,16 @@ POOLED = mcsim._usable_cpus() > 1 and "fork" in multiprocessing.get_all_start_me
 ])
 def test_pooled_gains_are_bitwise_inline_blocks(monkeypatch, antennas, mode, trials):
     # counts of the pool's blocks, of inline blocks and of whole-run gains
-    # thresholded here agree at every point of a 0-30 dB curve
+    # counted here point by point agree at every point of a 0-30 dB curve
     cfg = AntennaConfig(*antennas, mode)
-    scales_sr = [10.0 ** (0.2 * i) for i in range(16)]
-    scales_rd = [0.5 * s for s in scales_sr]
-    (pooled,) = link_gain_samples(cfg, trials, 37, scales_sr, scales_rd, 10.0)
+    gbars = [10.0 ** (0.2 * i) for i in range(16)]
+    bounds = [10.0 / g for g in gbars]
+    (pooled,) = link_gain_samples(cfg, trials, 37, (1.0, 0.5), bounds)
     assert (mcsim._pool is not None) == POOLED
     monkeypatch.setattr(mcsim, "_block_pool", lambda: None)
-    (inline,) = link_gain_samples(cfg, trials, 37, scales_sr, scales_rd, 10.0)
-    lam_sr, lam_rd = gain_samples(cfg, trials, 37)
-    expected = [int(np.count_nonzero(np.minimum(s_sr * lam_sr, s_rd * lam_rd) < 10.0))
-                for s_sr, s_rd in zip(scales_sr, scales_rd)]
+    (inline,) = link_gain_samples(cfg, trials, 37, (1.0, 0.5), bounds)
+    expected = outage_per_point(gain_samples(cfg, trials, 37), gbars,
+                                [0.5 * g for g in gbars], 10.0).tolist()
     assert pooled.tolist() == inline.tolist() == expected
     assert len(set(expected)) >= 5  # the curve crosses the threshold
 
@@ -363,8 +401,8 @@ def test_pool_gets_a_bounded_number_of_blocks_ahead(monkeypatch):
 
     monkeypatch.setattr(mcsim, "_block_pool", CountingPool)
     ahead = mcsim.BLOCKS_AHEAD_PER_WORKER * mcsim._usable_cpus()
-    sizes, scales = [500] * (3 * ahead), np.array([1.0, 10.0])
-    blocks = mcsim._run_blocks(1, RX_CFG, sizes, scales, scales, 5.0)
+    sizes, bounds = [500] * (3 * ahead), np.array([5.0, 0.5])
+    blocks = mcsim._run_blocks(1, RX_CFG, sizes, (1.0, 1.0), bounds)
     for done, failures in enumerate(blocks, start=1):
         assert len(submitted) == min(len(sizes), done - 1 + ahead)
         assert failures.shape == (2,)
@@ -386,7 +424,7 @@ assert callable(zf._project_off)
 zf._project_off = leaky
 cfg = AntennaConfig(2, 3, 3, 2, ZFMode(sys.argv[1]))
 for run in (lambda: zf._block_gains(zf.make_rng(3, 0), cfg, mcsim.BLOCK_SIZE),
-            lambda: mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 3, [1.0], [1.0], 1.0)):
+            lambda: mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 3, (1.0, 1.0), [1.0])):
     try:
         run()
     except Exception as exc:
@@ -423,7 +461,7 @@ def spy():
 
 mcsim._block_pool = spy
 mcsim.link_gain_samples(AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE), 2 * mcsim.BLOCK_SIZE + 1, 1,
-                        [1.0], [1.0], 1.0)
+                        (1.0, 1.0), [1.0])
 assert seen == [True], seen
 assert (mcsim._pool is not None) == (sys.argv[1] == "pooled")
 """
@@ -454,7 +492,7 @@ cfg = AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE)
 for pool in (mcsim._block_pool, lambda: None):
     mcsim._block_pool = pool
     try:
-        mcsim.link_gain_samples(cfg, mcsim.BLOCK_SIZE + 100, 3, [1.0], [1.0], 1.0)
+        mcsim.link_gain_samples(cfg, mcsim.BLOCK_SIZE + 100, 3, (1.0, 1.0), [1.0])
         print("no error")
     except Exception as exc:
         print(type(exc).__name__, type(exc.__cause__).__name__, exc, sep="|")
@@ -481,7 +519,7 @@ from fdrelay import mcsim
 from fdrelay.outage import AntennaConfig, ZFMode
 
 mcsim.link_gain_samples(AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE), 2 * mcsim.BLOCK_SIZE, 1,
-                        [1.0], [1.0], 1.0)
+                        (1.0, 1.0), [1.0])
 print(*[p.pid for p in multiprocessing.active_children()], flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -520,7 +558,7 @@ from fdrelay import mcsim
 from fdrelay.outage import AntennaConfig, ZFMode
 
 cfg = AntennaConfig(2, 3, 2, 2, ZFMode.RECEIVE)
-curve = ([1.0, 10.0], [1.0, 10.0], 5.0)
+curve = ((1.0, 1.0), [5.0, 0.5])
 failures = mcsim.link_gain_samples(cfg, 2 * mcsim.BLOCK_SIZE, 1, *curve)[0].tobytes()
 pid = os.fork()
 if pid == 0:
@@ -578,16 +616,16 @@ def test_parent_memory_does_not_grow_with_trials(path):
 
 def test_gain_samples_reject_bad_trials_argument():
     with pytest.raises(ValueError):
-        link_gain_samples(RX_CFG, 0, 1, [1.0], [1.0], 1.0)
+        link_gain_samples(RX_CFG, 0, 1, (1.0, 1.0), [1.0])
 
 
 def test_gain_samples_block_invariance():
     # a run of part of a block counts that part-block's gains
-    (failures,) = link_gain_samples(RX_CFG, 300, 5, [1.0, 10.0], [1.0, 10.0], 5.0)
+    (failures,) = link_gain_samples(RX_CFG, 300, 5, (1.0, 1.0), [5.0, 0.5])
     assert failures.shape == (2,)
-    lam_sr, lam_rd = gain_samples(RX_CFG, 300, 5)
-    assert failures.tolist() == [int(np.count_nonzero(np.minimum(s * lam_sr, s * lam_rd) < 5.0))
-                                 for s in (1.0, 10.0)]
+    scales = [1.0, 10.0]
+    assert failures.tolist() == outage_per_point(gain_samples(RX_CFG, 300, 5), scales, scales,
+                                                 5.0).tolist()
 
 
 # -- confidence intervals ---------------------------------------------------------------

@@ -3,7 +3,8 @@
 Channels are sampled as (n, rows, cols) and beams come from ``_zf_trials``
 as (length, n).  Everything here is plain einsum code, independent of the
 kernel's own column-product arithmetic.  ``gain_samples`` gives the
-unit-scale gains of a whole run, which the simulator itself only counts.
+unit-scale gains of a whole run, which the simulator itself only counts,
+and ``outage_per_point`` counts them the direct way, point by point.
 """
 
 from dataclasses import dataclass
@@ -39,6 +40,15 @@ def gain_samples(config, trials, seed):
     blocks = [_block_gains(make_rng(seed, block), config, min(BLOCK_SIZE, trials - start))
               for block, start in enumerate(range(0, trials, BLOCK_SIZE))]
     return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def outage_per_point(gains, scales_sr, scales_rd, gamma_t):
+    """Outage counts of unit-scale gains at each pair of hop scales (effective
+    power times average SNR): each hop's SNR at the point, their minimum
+    against ``gamma_t``, one point at a time."""
+    lam_sr, lam_rd = gains
+    return np.array([np.count_nonzero(np.minimum(s_sr * lam_sr, s_rd * lam_rd) < gamma_t)
+                     for s_sr, s_rd in zip(scales_sr, scales_rd)], dtype=np.int64)
 
 
 def draw_trials(config, n, seed):
