@@ -14,19 +14,17 @@ determinants exactly, on integers throughout.  No floating point and no
 
 Determinants run on packed integers (Kronecker substitution): the
 x-polynomial at each decay index k becomes one Python int, its value at
-x = 2**W, so that multiplying two polynomials takes a handful of
-big-integer products.  With y = e^{-x}, packing is the ring homomorphism
-Z[x][y] -> Z[y] that sends x to 2**W: it keeps sums and products for any W.
-So if a = b * q in Z[x][y], the packed a is the packed b times the packed
-q, and as Z[y] has no zero divisors, dividing by a packed b that is not
-zero gives the packed q.  Fraction-free elimination, whose divisions are
-all exact in Z[x][y], therefore ends on the packed determinant.  W only
-has to let the minors unpack: digits are balanced, so every coefficient of
-magnitude below 2**(W-1) reads back, and below that packing is injective,
-so a pivot is zero exactly when it packs to zero.  No coefficient of a
-minor exceeds the permanent of its entries' L1 norms, which is at most the
-product of the whole matrix's row sums of those norms (each taken as at
-least 1); W is the width of that product.
+x = 2**W, in slot k of a dense list, so that multiplying two polynomials
+takes a handful of big-integer products.  With y = e^{-x}, packing is the
+ring homomorphism Z[x][y] -> Z[y] that sends x to 2**W, for any W.  Z[y] is
+an integral domain, all that fraction-free elimination needs, so
+elimination on the packed entries, with its pivots tested and its exact
+divisions taken in Z[y], ends on their determinant: the packed determinant.
+Only that is unpacked, so W only has to hold its coefficients: digits are
+balanced, so any coefficient of magnitude below 2**(W-1) reads back.  Each
+is at most the permanent of the entries' L1 norms, so at most the product
+of the rows' sums of those norms (zero, like the determinant, if a row is
+zero); W is the width of that product.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import math
 from typing import Sequence
 
 Slices = dict[int, list[int]]  # k -> integer coefficients of x**0, x**1, ...
-Packed = dict[int, int]  # k -> that x-polynomial's value at x = 2**W
+Packed = list[int]  # slot k -> slice k's value at x = 2**W; no trailing zeros
 
 
 class InexactDivisionError(ArithmeticError):
@@ -50,24 +48,23 @@ def _slot_width(bound: int) -> int:
 
 
 def _pack(poly: Slices, w: int) -> Packed:
-    """Each nonzero slice's x-polynomial evaluated at x = 2**w (Kronecker
-    substitution)."""
-    packed: Packed = {}
+    """Each slice's x-polynomial evaluated at x = 2**w (Kronecker
+    substitution), in slot k."""
+    packed = [0] * (max(poly, default=-1) + 1)
     for k, coeffs in poly.items():
-        v = 0
         for c in reversed(coeffs):
-            v = (v << w) + c
-        if v:
-            packed[k] = v
+            packed[k] = (packed[k] << w) + c
+    while packed and not packed[-1]:
+        packed.pop()
     return packed
 
 
 def _unpack(packed: Packed, w: int) -> Slices:
-    """Balanced base-2**w digits of each slice: the inverse of ``_pack`` for
+    """Balanced base-2**w digits of each slot: the inverse of ``_pack`` for
     coefficients of magnitude below 2**(w-1).  Zero slices are dropped."""
     half, mask, base = 1 << (w - 1), (1 << w) - 1, 1 << w
     poly: Slices = {}
-    for k, v in packed.items():
+    for k, v in enumerate(packed):
         coeffs = []
         while v:
             c = v & mask
@@ -81,51 +78,42 @@ def _unpack(packed: Packed, w: int) -> Slices:
     return poly
 
 
-def _product(x: Packed, y: Packed, out: Packed | None = None, sign: int = 1) -> Packed:
-    """``out + sign * x * y`` of packed polynomials at one slot width: the
-    decay indices add, and each pair of slices is one big-integer product.
-    May leave zero slices."""
-    out = {} if out is None else out
-    for k1, v1 in x.items():
-        if sign < 0:
-            v1 = -v1
-        for k2, v2 in y.items():
-            k = k1 + k2
-            out[k] = out.get(k, 0) + v1 * v2
+def _update(a: Packed, b: Packed, c: Packed, d: Packed) -> Packed:
+    """``a * b - c * d`` of packed polynomials at one slot width: the decay
+    indices add, and each pair of slots is one big-integer product."""
+    out = [0] * max(len(a) + len(b), len(c) + len(d))
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    for i, u in enumerate(c):
+        for j, v in enumerate(d):
+            out[i + j] -= u * v
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
 def _divide(num: Packed, den: Packed) -> Packed:
     """Exact quotient of packed polynomials: long division over the decay
-    index, from the top.
+    index, from the top slot.
 
-    Each step divides the remainder's top slice by ``den``'s with one
-    ``divmod`` and subtracts the quotient slice times ``den``.  Raises
-    InexactDivisionError on a nonzero remainder or on a quotient index below
-    zero; ``determinant`` divides only where the quotient exists.  Leaves
-    no zero slices.
+    Each quotient slot is one ``divmod`` of the remainder's top slot by
+    ``den``'s top slot.  Raises InexactDivisionError unless each divides
+    and the low ``len(den) - 1`` remainder slots end at zero;
+    ``determinant`` divides only where the quotient exists.
     """
-    top = max(den)
-    lead = den[top]
-    tail = [(k, v) for k, v in den.items() if k != top]
-    rem = {k: v for k, v in num.items() if v}
-    quot: Packed = {}
-    while rem:
-        k = max(rem)
-        dk = k - top
-        if dk < 0:
-            raise InexactDivisionError("leading term not divisible")
-        q, r = divmod(rem.pop(k), lead)
+    low, lead = len(den) - 1, den[-1]
+    rem = list(num)
+    quot = [0] * (len(num) - low)
+    for k in reversed(range(len(quot))):
+        q, r = divmod(rem[k + low], lead)
         if r:
             raise InexactDivisionError("coefficient not divisible")
-        quot[dk] = q
-        for k2, v2 in tail:
-            key = k2 + dk
-            s = rem.get(key, 0) - q * v2
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
+        quot[k] = q
+        for j in range(low):
+            rem[k + j] -= q * den[j]
+    if any(rem[:low]):
+        raise InexactDivisionError("nonzero remainder")
     return quot
 
 
@@ -145,14 +133,16 @@ def determinant(matrix: Sequence[Sequence[Slices]]) -> Slices:
         raise ValueError("empty matrix")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
+    bad = [k for row in matrix for e in row for k in e if not isinstance(k, int) or k < 0]
+    if bad:
+        raise ValueError(f"decay index {bad[0]!r} is not a non-negative int")
     row_coeffs = [[c for e in row for coeffs in e.values() for c in coeffs] for row in matrix]
     if not all(isinstance(c, int) for cs in row_coeffs for c in cs):
         raise TypeError("matrix entries must have integer coefficients")
-    bound = math.prod(max(1, sum(map(abs, cs))) for cs in row_coeffs)
-    w = _slot_width(bound)
+    w = _slot_width(math.prod(sum(map(abs, cs)) for cs in row_coeffs))
     m = [[_pack(e, w) for e in row] for row in matrix]
     sign = 1
-    prev: Packed = {0: 1}
+    prev: Packed = [1]
     for p in range(n - 1):
         pivot_row = next((i for i in range(p, n) if m[i][p]), None)
         if pivot_row is None:
@@ -163,7 +153,6 @@ def determinant(matrix: Sequence[Sequence[Slices]]) -> Slices:
         piv, pivot_packed = m[p][p], m[p]
         for row in m[p + 1:]:
             for j in range(p + 1, n):
-                num = _product(row[p], pivot_packed[j], _product(row[j], piv), -1)
-                row[j] = _divide(num, prev)
+                row[j] = _divide(_update(row[j], piv, row[p], pivot_packed[j]), prev)
         prev = piv
-    return _unpack({k: sign * v for k, v in m[n - 1][n - 1].items()}, w)
+    return _unpack([sign * v for v in m[n - 1][n - 1]], w)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from det_reference import add, det_cofactor, mul, neg
 from exppoly_eval import evaluate
 from exppoly_ref import ExpPoly, det, gram_entries, lower_gamma_poly, slices
-from fdrelay.exppoly import InexactDivisionError, _divide, _pack, determinant
+from fdrelay.exppoly import InexactDivisionError, _divide, _pack, _unpack, determinant
 from fdrelay.outage import MAX_ANTENNAS
 from fdrelay.wishart import extract_coefficients, WishartDims
 from mixture import mixture_density
@@ -154,6 +154,14 @@ def test_det_rejects_non_square():
         determinant([[one, {0: [F(1, 2)]}], [one, one]])
 
 
+@pytest.mark.parametrize("k", [-1, 1.5])
+def test_det_rejects_a_decay_index_that_is_not_a_non_negative_int(k):
+    # a packed list has a slot for each k from 0 up, so -1 beside a higher
+    # index would land in the top slot
+    with pytest.raises(ValueError, match=f"decay index {k!r}"):
+        determinant([[{k: [1], 2: [1]}]])
+
+
 def test_det_of_slices_is_canonical_and_signed():
     # zero slices and trailing zeros go; a swap of rows flips the sign
     assert determinant([[{0: [0], 1: [2, 0]}]]) == {1: [2]}
@@ -257,6 +265,24 @@ def test_slot_width_holds_a_coefficient_at_its_bound(n, anti):
 
 def _packed(terms, w=16):
     return _pack(slices(ExpPoly(terms)), w)
+
+
+@given(st.integers(1, 80), st.data())
+def test_unpack_inverts_pack(w, data):
+    # any decay indices up to 12, gaps included, and coefficients up to the
+    # balanced digits' limits; empty and all-zero slices read back as absent
+    lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
+    coefficient = st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
+    poly = data.draw(st.dictionaries(st.integers(0, 12), st.lists(coefficient, max_size=5)))
+    canonical = {}
+    for k, coeffs in poly.items():
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        if coeffs:
+            canonical[k] = coeffs
+    packed = _pack(poly, w)
+    assert packed == [] or packed[-1]
+    assert _unpack(packed, w) == canonical
 
 
 def test_packed_division_checks_each_coefficient():
