@@ -193,11 +193,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     dims_list = [_parse_dims_arg(d) for d in args.dims]
     for dims in dims_list:
         table = load_or_compute_table(dims)
-        total = table.total()
-        print(f"a={dims.a} b={dims.b}: sum = {total} ({len(table.entries)} entries)")
-        if total != 1:
-            print(f"coeffs: weight sum is {total}, expected 1", file=sys.stderr)
-            return EXIT_VALIDATION
+        print(f"a={dims.a} b={dims.b}: sum = {table.total()} ({len(table.entries)} entries)")
     return EXIT_OK
 
 

@@ -100,8 +100,8 @@ class RunConfig:
     def __post_init__(self):
         """Raises ValueError for trials or a seed not an integer in range, for
         a budget the asymmetry shorthand does not allow (an asymmetric one
-        leaves both alphas at 1.0), for a power or
-        amplitude not > 0, or for a hop scale not finite and > 0 at an end
+        leaves both alphas at 1.0), for a power or amplitude not > 0, for a
+        grid point not finite, or for a hop scale not finite and > 0 at an end
         of the grid or, with no grid, at unit average SNR."""
         for name, value in (("trials", self.trials), ("seed", self.seed)):
             try:
@@ -129,6 +129,9 @@ class RunConfig:
         for name in ("p_s", "p_r", "alpha_sr", "alpha_rd"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
+        for g_db in self.grid_db:  # min and max pass over a nan
+            if not math.isfinite(g_db):
+                raise ValueError(f"grid point {g_db!r} dB is not finite")
         # the scales grow with the average SNR, so the grid's ends bound them all;
         # with no grid, the unit scales (0 dB) are checked
         ends, at = (0.0,), " is out of range"

@@ -71,6 +71,8 @@ class AntennaConfig:
     mode: ZFMode
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, ZFMode):
+            raise ValueError(f"mode must be a ZFMode, got {self.mode!r}")
         for name in ("n_s", "n_r1", "n_r2", "n_d"):
             try:
                 count = operator.index(getattr(self, name))

@@ -9,9 +9,9 @@ density expressible as a signed mixture of Erlang-type terms
 with exact rational weights ``w[n, m]`` that sum to one.  This module builds
 the CDF symbolically (Kang & Alouini: a determinant of a matrix of lower
 incomplete gamma functions, whose coefficients are all integers), and reads
-the weights straight off the determinant's integer coefficients over one
-denominator per decay index; there is no fitting and no floating point, and
-each weight is the one ``Fraction`` built for it.
+each weight straight off two adjacent integer coefficients of the
+determinant; there is no fitting and no floating point, and each weight is
+the one ``Fraction`` built for it.
 
 The weight table is the single data object the closed-form outage
 expressions consume; ``save_table`` keeps it as lossless text for the benchmark.
@@ -42,8 +42,8 @@ class NonzeroResidualError(RuntimeError):
     """The exact CDF is not a mixture of the declared Erlang components.
 
     Raised when the CDF has a term outside the declared index ranges, a
-    nonzero weight below m = b - a, or a value at 0 other than zero.  This
-    is a hard failure: it means the index bookkeeping or the symbolic
+    nonzero weight below m = b - a, F(0) other than 0 or F(inf) other than 1.
+    This is a hard failure: it means the index bookkeeping or the symbolic
     algebra is wrong, never a numerical artefact.
     """
 
@@ -145,43 +145,36 @@ def extract_coefficients(dims: WishartDims) -> CoeffTable:
     so the CDF's coefficient of x^j e^{-n x} is c[n, j] = -n^j / j! * S[n, j]
     with the tail sums S[n, j] = sum_{m>=j} w[n, m].  The determinant gives
     c[n, j] = d[n, j] / D with integers d[n, j] and D = prod (a-i)!(b-i)!, so
-    over the one denominator D n^top, top = (a+b-2n) n, the tail sums are the
-    integers T[n, j] = -d[n, j] j! n^(top-j), and each weight is
-    w[n, m] = (T[n, m] - T[n, m+1]) / (D n^top).  Raises NonzeroResidualError
-    on a term outside the declared ranges, on a nonzero weight below
-    m = b - a, and unless F(0) = sum_n d[n, 0] / D is zero.
+    each weight w[n, m] = S[n, m] - S[n, m+1] is the one fraction
+    m! ((m+1) d[n, m+1] - n d[n, m]) / (D n^(m+1)).  Raises NonzeroResidualError
+    on a term outside the declared ranges, unless F(0) = sum_n d[n, 0] / D is 0,
+    unless F(inf) = d[0, 0] / D is 1, and on a nonzero weight below m = b - a.
+    With F(0) = 0 and F(inf) = 1 the weights sum to exactly one.
     """
     a, b = dims.a, dims.b
     det = determinant(cdf_matrix(dims))
-    tails: Dict[int, list[int]] = {}  # n -> T[n, 0..top+1]
     for n, coeffs in det.items():
         top = (a + b - 2 * n) * n  # 0 at n = 0: only F's constant term
         if not 0 <= n <= a or any(coeffs[top + 1:]):
             j = max((j for j, c in enumerate(coeffs) if c), default=0)
             raise NonzeroResidualError(
                 f"CDF term x^{j} e^(-{n}x) is outside the mixture for dims a={a}, b={b}")
-        if n:
-            t = coeffs + [0] * (top + 2 - len(coeffs))  # T[n, top+1] = 0
-            f = factorial(top)  # j! n^(top-j), from j = top down
-            for j in range(top, -1, -1):
-                t[j] *= -f
-                f = f * n // j if j else f
-            tails[n] = t
-    low = b - a
-    for n, t in tails.items():
-        if any(t[j] != t[low] for j in range(low)):
-            raise NonzeroResidualError(
-                f"nonzero weight below m = {low} at n = {n} for dims a={a}, b={b}")
-    if sum(coeffs[0] for coeffs in det.values() if coeffs):
+    if sum(coeffs[0] for coeffs in det.values()):
         raise NonzeroResidualError(f"CDF is not 0 at x = 0 for dims a={a}, b={b}")
     norm = normalization_constant(dims)
+    if det.get(0) != [norm.denominator]:
+        raise NonzeroResidualError(f"CDF does not tend to 1 for dims a={a}, b={b}")
     entries: Dict[Key, Fraction] = {}
     for n in range(1, a + 1):
         top = (a + b - 2 * n) * n
-        t = tails.get(n) or [0] * (top + 2)
-        den = norm.denominator * n ** top
-        for m in range(top, low - 1, -1):
-            entries[n, m] = Fraction(t[m] - t[m + 1], den)
+        d = det.get(n, []) + [0] * (top + 2)  # d[n, j] = 0 past the slice
+        for m in range(top, -1, -1):
+            num = factorial(m) * ((m + 1) * d[m + 1] - n * d[m])
+            if m >= b - a:
+                entries[n, m] = Fraction(num, norm.denominator * n ** (m + 1))
+            elif num:
+                raise NonzeroResidualError(
+                    f"nonzero weight below m = {b - a} at n = {n} for dims a={a}, b={b}")
     return CoeffTable(dims=dims, norm_const=norm, entries=entries)
 
 

@@ -65,6 +65,16 @@ def test_antenna_config_validation():
     AntennaConfig(2, 2, 1, 1, ZFMode.RECEIVE)
 
 
+def test_antenna_config_refuses_a_mode_that_is_not_a_zf_mode():
+    # a string is never `ZFMode.RECEIVE`, so every mode test would read
+    # "receive" as transmit ZF
+    for antennas in ((2, 3, 2, 2), (2, 1, 2, 2)):
+        with pytest.raises(ValueError, match="mode must be a ZFMode, got 'receive'"):
+            AntennaConfig(*antennas, "receive")
+    with pytest.raises(ValueError, match="mode must be a ZFMode, got None"):
+        AntennaConfig(2, 3, 2, 2, None)
+
+
 def test_run_config_unit_scales():
     run = make_run((2, 3, 2, 1), "receive", (10.0, 0.0), p_s=2.0, p_r=4.0, alphas=(0.5, 2.0))
     assert run.unit_scales() == (0.5, 16.0)
@@ -98,6 +108,8 @@ def test_run_config_unit_scales():
     ({"seed": 1.5}, "seed must be an integer, got 1.5"),
     ({"asymmetry": "sr_dominant", "ratio": 1.5, "alphas": (3.0, 0.5)},
      "asymmetry = sr_dominant sets both alphas; drop alpha_sr and alpha_rd or the asymmetry"),
+    # min and max pass over a nan inside the grid
+    ({"grid_db": (0.0, math.nan, 10.0)}, "grid point nan dB is not finite"),
 ])
 def test_run_config_checks_its_ranges(kwargs, message):
     args = {"grid_db": (0.0, 30.0)} | kwargs

@@ -16,7 +16,8 @@ from scipy import integrate
 from exppoly_eval import evaluate
 from exppoly_ref import ExpPoly, gram_entries, lower_gamma_poly, max_eig_cdf, slices
 from fdrelay import wishart
-from fdrelay.outage import growth_taylor
+from fdrelay.exppoly import determinant
+from fdrelay.outage import _integer_cdf, growth_taylor
 from fdrelay.wishart import (
     CacheChecksumError,
     CacheFormatError,
@@ -160,7 +161,7 @@ def test_extract_keys_match_declared_ranges():
 
 
 def test_extract_rejects_foreign_density(monkeypatch):
-    # each of the extraction's three checks on the determinant is a hard
+    # each of the extraction's four checks on the determinant is a hard
     # error; at these dims the CDF's denominator is 1, so each foreign
     # determinant is its CDF
     cdf_22, cdf_12 = (dict(max_eig_cdf(WishartDims(*d)).items()) for d in ((2, 2), (1, 2)))
@@ -173,6 +174,8 @@ def test_extract_rejects_foreign_density(monkeypatch):
         ((1, 2), {(0, 0): 1, (1, 0): -1, (1, 1): -2}, "below m = 1"),
         # F(0) = 1
         ((1, 2), {**cdf_12, (0, 0): 2}, "not 0 at x = 0"),
+        # 2 F: F(0) = 0, but F tends to 2 and its weights sum to 2
+        ((1, 2), {k: 2 * c for k, c in cdf_12.items()}, "does not tend to 1"),
     ]
     for dims, terms, match in foreign:
         assert normalization_constant(WishartDims(*dims)) == 1
@@ -307,6 +310,23 @@ def test_growth_series_matches_fraction_arithmetic(dims):
     table = extract_coefficients(WishartDims(*dims))
     order = dims[0] * dims[1] + 20
     assert growth(table, order) == fraction_growth(table, order)
+
+
+def test_integer_cdf_is_the_determinant():
+    # the reverse conversion gives back the determinant: q_l = l! L d[n, l] / D,
+    # with that division exact, and L c00 = L
+    for a in range(1, 9):
+        for b in range(a, 9):
+            dims = WishartDims(a, b)
+            det = determinant(cdf_matrix(dims))
+            den = normalization_constant(dims).denominator
+            lcm, power, _, polys = _integer_cdf(extract_coefficients(dims))
+            assert power == lcm, dims
+            assert [n for n, _ in polys] == sorted(set(det) - {0}), dims
+            for n, q in polys:
+                scaled = [math.factorial(l) * lcm * d for l, d in enumerate(det[n])]
+                assert all(s % den == 0 for s in scaled), (dims, n)
+                assert q == [s // den for s in scaled], (dims, n)
 
 
 def test_growth_series_single_channel():
