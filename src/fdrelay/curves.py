@@ -208,7 +208,7 @@ def _analysis_dims(antenna: AntennaConfig, fault: Optional[str]) -> tuple[Wishar
         # test-only: ignore the projection loss so the analytic curve is wrong
         return (WishartDims.of_matrix(antenna.n_r1, antenna.n_s),
                 WishartDims.of_matrix(antenna.n_r2, antenna.n_d))
-    return link_dims(antenna, "sr"), link_dims(antenna, "rd")
+    return link_dims(antenna)
 
 
 # -- curve construction -------------------------------------------------------
@@ -278,8 +278,8 @@ def exact_diversity(run: RunConfig) -> DiversityCheck:
     over the hops of order d, exactly: at 9x9 its float terms can underflow.
     G_c is +inf dB at gamma_t = 0, where the outage is 0 at every SNR."""
     hops = []
-    for link, unit in zip(("sr", "rd"), run.unit_scales()):
-        hop = _hop(link_dims(run.antenna, link), None)
+    for dims, unit in zip(link_dims(run.antenna), run.unit_scales()):
+        hop = _hop(dims, None)
         hops.append((hop.j0, hop.t_j0, unit))
     d, predicted = min(o for o, _, _ in hops), diversity_order(run.antenna)
     ok = d == predicted

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Literal, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from .wishart import CoeffTable, NonzeroResidualError, WishartDims
 
@@ -44,8 +44,6 @@ PROBABILITY_SLACK = 1e-12
 
 #: Most antennas at a node: an 8x8 table extracts in 13 ms, a 16x16 one in 18 s.
 MAX_ANTENNAS = 8
-
-Link = Literal["sr", "rd"]
 
 
 class InvalidProbabilityError(ArithmeticError):
@@ -91,7 +89,7 @@ class AntennaConfig:
 
 @dataclass(frozen=True)
 class OutageQuery:
-    """Outage threshold in linear SNR; ``rate`` builds it from a target rate."""
+    """Outage threshold in linear SNR; ``rate_to_snr_threshold`` turns a rate into one."""
 
     gamma_t: float
 
@@ -103,13 +101,6 @@ class OutageQuery:
     def snr(cls, gamma_t: float) -> "OutageQuery":
         return cls(gamma_t)
 
-    @classmethod
-    def rate(cls, r0: float) -> "OutageQuery":
-        try:
-            return cls(rate_to_snr_threshold(r0))
-        except OverflowError:
-            raise ValueError(f"rate threshold {r0!r} overflows 2**R0 - 1") from None
-
 
 def rate_to_snr_threshold(r0: float) -> float:
     """SNR below which a rate-R0 transmission is in outage: 2**R0 - 1."""
@@ -118,20 +109,16 @@ def rate_to_snr_threshold(r0: float) -> float:
     return 2.0 ** r0 - 1.0
 
 
-def link_dims(config: AntennaConfig, link: Link) -> WishartDims:
-    """Wishart dimensions governing one hop's SNR law.
+def link_dims(config: AntennaConfig) -> Tuple[WishartDims, WishartDims]:
+    """Wishart dimensions governing the (sr, rd) hops' SNR laws.
 
     The hop adjacent to the null constraint loses one relay dimension to the
     projection; the other hop keeps its full antenna counts.
     """
     n_s, n_r1, n_r2, n_d = config.antennas()
-    if link == "sr":
-        rows = n_r1 - 1 if config.mode is ZFMode.RECEIVE else n_r1
-        return WishartDims.of_matrix(rows, n_s)
-    if link == "rd":
-        rows = n_r2 - 1 if config.mode is ZFMode.TRANSMIT else n_r2
-        return WishartDims.of_matrix(rows, n_d)
-    raise ValueError(f"unknown link {link!r}")
+    if config.mode is ZFMode.RECEIVE:
+        return WishartDims.of_matrix(n_r1 - 1, n_s), WishartDims.of_matrix(n_r2, n_d)
+    return WishartDims.of_matrix(n_r1, n_s), WishartDims.of_matrix(n_r2 - 1, n_d)
 
 
 def link_outage(hop: HopCDF, scales: Sequence[float], gamma_t: float) -> list[float]:
@@ -192,15 +179,17 @@ class HopCDF:
 
 def hop_cdf(table: CoeffTable) -> HopCDF:
     """A table's CDF, ready for both branches: c[n, l] = q_l / (l! L) (see
-    ``growth_taylor``), and X the least power of two from 2^-16 (to 64) at
-    which Horner's bound holds. Raises ``NonzeroResidualError`` unless g_j is
-    0 below ab, positive at ab and not negative above. For a hop's table
-    g_{ab+k} <= t_ab a^k / k!, as (a)_kappa <= (a+b)_kappa, so below 2X the
-    rest past h_K is at most t_ab sum_{k>K} (2aX)^k / k!. K makes that at most
-    2^-60 of the sum at X, and each binade of x / X the same at its own ends.
+    ``growth_taylor``), and X the least power of two from 2^-16 (to 64) at which
+    Horner's bound holds. Raises ``NonzeroResidualError`` unless the weights sum
+    to 1 and g_j is 0 below ab, > 0 at ab and >= 0 above. For a hop's table
+    g_{ab+k} <= t_ab a^k / k!, as (a)_kappa <= (a+b)_kappa, so below 2X the rest
+    past h_K is at most t_ab sum_{k>K} (2aX)^k / k!. K makes that at most 2^-60
+    of the sum at X, and each binade of x / X the same at its own ends.
     """
     ab = table.dims.a * table.dims.b
     lcm, c00, rate, exact = _integer_cdf(table)
+    if c00 != lcm:
+        raise NonzeroResidualError(f"weights of {table.dims} sum to {Fraction(c00, lcm)}, not 1")
     polys = tuple((n - prev, tuple(q[l] / (lcm * factorial(l)) for l in reversed(range(len(q)))))
                   for (prev, _), (n, q) in zip([(0, None)] + exact, exact))
     hop = HopCDF(c00 / lcm, polys, rate, ab, Fraction(0))
@@ -274,20 +263,19 @@ def _series(hop: HopCDF, x: float) -> Tuple[float, float]:
     F = S f^ab e^{-ax} 2^(e ab) with x = f 2^e. The product before 2^(e ab)
     is normal, at least t_ab 2^-ab e^{-2aX}, so F is rounded once, at the end.
 
-    The terms are positive, so Higham's running error bound (as in
-    ``_horner``) is 2 eps mu with mu = sum (k+1) h_k u^k, rounded coefficients
-    and all; a step that underflows adds 2^-1074, and ``cuts`` bounds the
-    rest. f^ab, a x, e^{-ax} and two products add eps (4 + a x).
+    The m terms summed are positive, so Horner's error, rounded coefficients
+    and all, is at most 2 m eps of S (Higham 2002, 5.1); a step that underflows
+    adds 2^-1074, and ``cuts`` bounds the rest. f^ab, a x, e^{-ax} and two
+    products add eps (4 + a x).
     """
     u = x / hop.crossover
     first, rest = hop.cuts[min(1 - math.frexp(u)[1], len(hop.cuts) - 1)]
-    s = mu = 0.0
+    s, m = 0.0, len(hop.terms) - first
     for h in hop.terms[first:]:
         s = s * u + h
-        mu = mu * u + s
     f, e = math.frexp(x)
     value = math.ldexp(s * f ** hop.j0 * math.exp(-hop.rate * x), e * hop.j0)
-    bound = (2.0 * _EPS * mu + len(hop.terms) * 5e-324 + rest) / s + _EPS * (4.0 + hop.rate * x)
+    bound = 2.0 * m * _EPS + (m * 5e-324 + rest) / s + _EPS * (4.0 + hop.rate * x)
     return value, 1.01 * bound
 
 

@@ -53,11 +53,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _randn_c(rng: np.random.Generator, shape) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian entries with unit variance."""
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    out /= math.sqrt(2.0)
+    """Circularly-symmetric complex Gaussian entries with unit variance: real
+    parts first, then imaginary, each scaled by 1/sqrt(2) from one buffer."""
+    out, buf = np.empty(shape, dtype=complex), np.empty(shape)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(out=buf), 1.0 / math.sqrt(2.0), out=part)
     return out
 
 

@@ -194,7 +194,7 @@ def test_criterion_7_diversity_order_slopes():
         for mode in MODES:
             run = make_run(antennas, mode, grid_db, query)
             check = exact_diversity(run)
-            hops = [link_dims(run.antenna, link) for link in ("sr", "rd")]
+            hops = link_dims(run.antenna)
             d = diversity_order(run.antenna)
             if not (check.ok and check.hop_orders == tuple(h.a * h.b for h in hops)
                     and min(check.hop_orders) == d):

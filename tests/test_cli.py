@@ -1,6 +1,8 @@
 """Command-line surfaces: config parsing, subcommands, CSV contract."""
 
+import contextlib
 import hashlib
+import io
 import math
 import multiprocessing
 import subprocess
@@ -146,6 +148,46 @@ def test_parse_run_config_parses_or_raises_config_error(tmp_path_factory, droppe
         return
     for hop in run.hop_scales():
         assert 0.0 < hop[0] < math.inf and 0.0 < hop[-1] < math.inf
+
+
+def any_value(key):
+    """Text for ``key``: a name, or an integer from -2 to 10 (trials up to
+    2000, so that a run stays one small block), nan, +-inf or +-1e308."""
+    kind = cli._CONFIG_TYPES[key]
+    if kind is str:
+        return st.sampled_from(["receive", "transmit", "symmetric", "sr_dominant", "rd_dominant",
+                                "x", ""])
+    return st.one_of(st.integers(-2, 2000 if key == "trials" else 10).map(str),
+                     st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308"]))
+
+
+#: Up to four known keys; out_csv is set apart, into each example's directory.
+any_overrides = st.lists(st.sampled_from(sorted(set(cli._CONFIG_TYPES) - {"out_csv"})),
+                         unique=True, max_size=4).flatmap(
+    lambda keys: st.fixed_dictionaries({k: any_value(k) for k in keys}))
+#: A line that is unknown, malformed, a duplicate of a base key, or empty.
+odd_lines = st.lists(st.sampled_from(["bogus_key = 1", "n_s", "= 3", "n_s == 2", "n_s = 2",
+                                      "mode = receive", "# note", ""]), max_size=1)
+
+
+@given(st.sampled_from(["sweep", "diversity"]), st.sets(st.sampled_from(sorted(VALID_CONFIG)),
+                                                        max_size=1),
+       any_overrides, odd_lines, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_any_config_text_exits_with_a_code_not_a_traceback(tmp_path_factory, command, dropped,
+                                                          overrides, odd, with_csv):
+    directory = tmp_path_factory.mktemp("any-config")
+    config = {k: v for k, v in VALID_CONFIG.items() if k not in dropped} | overrides
+    if with_csv:
+        config["out_csv"] = str(directory / "out.csv")
+    lines = [f"{k} = {v}" for k, v in config.items()] + odd
+    path = directory / "run.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path)])
+    assert code in (0, 1, 2), (code, lines)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_parse_missing_file():

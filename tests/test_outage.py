@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from scipy import integrate
 
 from fdrelay import curves, outage
+from fdrelay.cli import parse_run_config
 from fdrelay.curves import build_curve, exact_diversity
 from fdrelay.outage import (
     MAX_ANTENNAS,
@@ -25,7 +27,14 @@ from fdrelay.outage import (
     link_outage,
     rate_to_snr_threshold,
 )
-from fdrelay.wishart import CoeffTable, NonzeroResidualError, WishartDims, cached_table
+from fdrelay.wishart import (
+    CoeffTable,
+    NonzeroResidualError,
+    WishartDims,
+    cached_table,
+    load_table,
+    save_table,
+)
 from kang_alouini import max_eig_cdf
 from outage_reference import link_snr_pdf
 from runs import analytic_curve, make_run
@@ -180,14 +189,12 @@ def test_outage_query_validation():
     with pytest.raises(ValueError):
         OutageQuery.snr(-1.0)
     assert OutageQuery.snr(3.0).gamma_t == 3.0
-    assert OutageQuery.rate(1.0).gamma_t == 1.0
 
 
 def test_outage_query_refuses_a_non_finite_threshold():
     # an infinite threshold gave an outage of 1 at every point, and an
     # OverflowError in exact_diversity
-    for call in (lambda: OutageQuery(math.inf), lambda: OutageQuery.snr(math.inf),
-                 lambda: OutageQuery.rate(math.inf)):
+    for call in (lambda: OutageQuery(math.inf), lambda: OutageQuery.snr(math.inf)):
         with pytest.raises(ValueError, match="threshold must be finite and non-negative"):
             call()
 
@@ -197,16 +204,14 @@ def test_outage_query_refuses_a_non_finite_threshold():
 
 def test_link_dims_receive():
     cfg = AntennaConfig(2, 3, 2, 1, ZFMode.RECEIVE)
-    assert link_dims(cfg, "sr") == WishartDims(2, 2)   # (n_r1 - 1) x n_s
-    assert link_dims(cfg, "rd") == WishartDims(1, 2)   # n_r2 x n_d
+    # (n_r1 - 1) x n_s, then n_r2 x n_d
+    assert link_dims(cfg) == (WishartDims(2, 2), WishartDims(1, 2))
 
 
 def test_link_dims_transmit():
     cfg = AntennaConfig(2, 3, 2, 2, ZFMode.TRANSMIT)
-    assert link_dims(cfg, "sr") == WishartDims(2, 3)   # full n_r1 x n_s
-    assert link_dims(cfg, "rd") == WishartDims(1, 2)   # (n_r2 - 1) x n_d
-    with pytest.raises(ValueError):
-        link_dims(cfg, "xx")
+    # full n_r1 x n_s, then (n_r2 - 1) x n_d
+    assert link_dims(cfg) == (WishartDims(2, 3), WishartDims(1, 2))
 
 
 # -- per-hop outage ------------------------------------------------------------------
@@ -263,8 +268,24 @@ def test_hop_cdf_refuses_a_table_whose_growth_series_is_not_positive(entries, g)
 def test_link_outage_rejects_bogus_weights():
     good = table(1, 2)
     bogus = CoeffTable(good.dims, good.norm_const, {(1, 1): F(3, 2)})
-    with pytest.raises(InvalidProbabilityError):
-        link_outage(hop_cdf(bogus), [1.0], 1e6)  # weights sum to 1.5 -> "probability" 1.5
+    with pytest.raises(NonzeroResidualError, match=re.escape("sum to 3/2, not 1")):
+        hop_cdf(bogus)
+    # a prepared hop whose F(inf) is 1.5 still meets link_outage's range check
+    with pytest.raises(InvalidProbabilityError, match="outside"):
+        link_outage(replace(hop_cdf(good), c00=1.5), [1.0], 1e6)
+
+
+@pytest.mark.parametrize("factor", [F(2), F(1, 2)])
+def test_hop_cdf_refuses_weights_that_do_not_sum_to_1(tmp_path, factor):
+    # every g_j of a scaled table keeps its sign, so only the sum tells;
+    # a checksummed cache file holds such a table as readily as one made
+    good = table(1, 2)
+    scaled = CoeffTable(good.dims, good.norm_const,
+                        {k: w * factor for k, w in good.entries.items()})
+    save_table(scaled, tmp_path / "t.txt")
+    for candidate in (scaled, load_table(tmp_path / "t.txt")):
+        with pytest.raises(NonzeroResidualError, match=re.escape(f"sum to {factor}, not 1")):
+            hop_cdf(candidate)
 
 
 @settings(max_examples=150, deadline=None)
@@ -360,7 +381,6 @@ def test_nan_rejected_by_every_guard():
     for call in (
         lambda: rate_to_snr_threshold(nan),
         lambda: OutageQuery.snr(nan),
-        lambda: OutageQuery.rate(nan),
     ):
         with pytest.raises(ValueError, match="non-negative"):
             call()
@@ -398,8 +418,8 @@ def test_e2e_examples(monkeypatch):
     assert e2e(monkeypatch, [0.0, 1.0, 0.1], [0.4, 0.3, 0.2]) == [0.4, 1.0, pytest.approx(0.28)]
     # a hop outage outside [0, 1] never reaches the combination
     monkeypatch.undo()
-    bogus = CoeffTable(WishartDims(1, 2), F(1), {(1, 1): F(3, 2)})
-    monkeypatch.setattr(curves, "_hop", lambda dims, cache_dir: hop_cdf(bogus))
+    bogus = replace(hop(1, 2), c00=1.5)
+    monkeypatch.setattr(curves, "_hop", lambda dims, cache_dir: bogus)
     with pytest.raises(InvalidProbabilityError):
         build_curve(make_run((2, 2, 2, 2), "receive", (-10.0,)))
 
@@ -429,8 +449,9 @@ def test_analytic_column_is_the_combination_of_both_hops(case):
     run = make_run(kwargs.pop("antennas"), "receive", [0.5 * i for i in range(81)], **kwargs)
     gamma_t = run.query.gamma_t
     scales_sr, scales_rd = run.hop_scales()
-    p_sr = link_outage(hop_cdf(cached_table(link_dims(run.antenna, "sr"))), scales_sr, gamma_t)
-    p_rd = link_outage(hop_cdf(cached_table(link_dims(run.antenna, "rd"))), scales_rd, gamma_t)
+    dims_sr, dims_rd = link_dims(run.antenna)
+    p_sr = link_outage(hop_cdf(cached_table(dims_sr)), scales_sr, gamma_t)
+    p_rd = link_outage(hop_cdf(cached_table(dims_rd)), scales_rd, gamma_t)
     want = [sr + (1.0 - sr) * rd for sr, rd in zip(p_sr, p_rd)]
     assert [r.analytic.hex() for r in build_curve(run).rows] == [v.hex() for v in want]
 
@@ -469,12 +490,17 @@ def test_rate_to_snr_threshold():
         rate_to_snr_threshold(-1.0)
 
 
-def test_rate_path_is_bitwise_same_as_snr_path():
-    grid = (0.0, 10.0, 14.77, 30.0)
+def test_rate_path_is_bitwise_same_as_snr_path(tmp_path):
+    # the command line takes a target rate only as a config's rate_r0
+    path = tmp_path / "rate.cfg"
     for r0 in (0.5, 1.0, 2.0, 3.5):
-        via_rate = analytic_curve((2, 3, 2, 1), "receive", grid, OutageQuery.rate(r0))
-        via_snr = analytic_curve((2, 3, 2, 1), "receive", grid, OutageQuery.snr(2.0 ** r0 - 1.0))
-        assert via_rate == via_snr
+        path.write_text(f"n_s = 2\nn_r1 = 3\nn_r2 = 2\nn_d = 1\nmode = receive\nrate_r0 = {r0}\n"
+                        "grid_start_db = 0\ngrid_stop_db = 30\ngrid_step_db = 7.5\n")
+        run = parse_run_config(path)
+        assert run.query == OutageQuery.snr(2.0 ** r0 - 1.0)
+        via_snr = analytic_curve((2, 3, 2, 1), "receive", run.grid_db,
+                                 OutageQuery.snr(2.0 ** r0 - 1.0))
+        assert [row.analytic for row in build_curve(run).rows] == via_snr
 
 
 # -- end-to-end closed form ----------------------------------------------------------------
